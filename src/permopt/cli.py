@@ -15,7 +15,7 @@ from pathlib import Path
 from .baselines import GuardError, brute_force, greedy_marginal, greedy_optimal_first
 from .instance_io import BUNDLED, ValidationError, bundled_instance, parse_instance
 from .lp import LpError
-from .scheduler import EXTENDED, Schedule, SolveError, solve_schedule
+from .scheduler import EXTENDED, MODES, Schedule, SolveError, solve_schedule
 from .subproblems import Instance, InstanceError
 
 EXIT_OK = 0
@@ -98,7 +98,8 @@ def run(argv) -> int:
         p.add_argument("--instance", required=True, help="instance file or bundled name")
         if with_method:
             p.add_argument("--method", choices=METHODS, default="lp")
-        p.add_argument("--mode", choices=("extended", "cutting-plane"), default=EXTENDED)
+        p.add_argument("--mode", choices=MODES, default=EXTENDED,
+                       help="kept for existing callers: both names build the one master LP")
         p.add_argument("--epsilon", type=float, default=None,
                        help="regenerate a bundled template with this gap value")
         p.add_argument("--tol", type=float, default=1e-6)

@@ -3,9 +3,12 @@
 A permutation assigns each of m orderable elements a distinct step in
 {1,...,m}. Its chain matrix collects the 0/1 indicator columns of the
 growing realized sets, one column per step. The polytope of relaxed
-position vectors is handled two ways: an exponential family of sorted
-prefix-sum inequalities with a sorting-based separation routine, and a
-compact doubly-stochastic extension.
+position vectors (the permutahedron) is described three ways: an
+exponential family of sorted prefix-sum inequalities with a sorting-based
+separation routine, a compact doubly-stochastic extension, and implicitly
+by the chain transformation, whose last-column covering rows together
+with the position-sum equality imply every prefix-sum inequality. The
+master LP uses only the last; the other two serve as references.
 """
 
 from __future__ import annotations
@@ -81,11 +84,11 @@ def chain_from_permutation(p: Permutation) -> ChainMatrix:
     )
 
 
-def permutation_from_point(y, tolerance: float = 1e-6) -> Permutation:
+def permutation_from_point(y) -> Permutation:
     """Rank elements by ascending y, ties broken by ascending index.
 
-    If y is within `tolerance` of an integral permutation vector the result
-    round-trips exactly (requires tolerance < 0.5).
+    If each entry of y differs from an integral permutation vector by less
+    than 0.5, the result round-trips exactly.
     """
     y = list(y)
     order = sorted(range(len(y)), key=lambda i: (y[i], i))

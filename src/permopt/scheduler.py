@@ -1,11 +1,13 @@
 """Master LP assembly and exact schedule solving.
 
-The master program couples three blocks: the position polytope (either the
-compact doubly-stochastic extension or lazily generated prefix-sum cuts),
-the chain transformation tying positions to per-step availability columns,
-and one subproblem block per step. Its optimum equals the best cumulative
-schedule value; the optimal ordering is read off the position variables
-and re-certified against the combinatorial oracles.
+The master program couples three blocks: the position-sum equality, the
+chain transformation tying positions to per-step availability columns,
+and one subproblem block per step. The chain system's covering rows and
+the position-sum row already confine the positions to the permutahedron,
+so no doubly-stochastic extension is added; prefix-sum separation only
+confirms this on each solve. Its optimum bounds the best cumulative
+schedule value; the ordering is read off the position variables and
+re-certified against the combinatorial oracles.
 """
 
 from __future__ import annotations
@@ -17,19 +19,19 @@ from . import lp as lpmod
 from .lp import EQ, LinearConstraint, LpBuilder, solve as lp_solve
 from .perms import (
     Permutation,
-    birkhoff_extension,
     chain_transform_constraints,
     permutation_from_point,
     separate_permutahedron,
 )
 from .subproblems import Instance, emit_step, step_value
 
+# Two names for the one master program, kept so existing callers still work.
 EXTENDED = "extended"
 CUTTING_PLANE = "cutting-plane"
+MODES = (EXTENDED, CUTTING_PLANE)
 
 VALUE_TOL = 1e-6
 MAX_CUT_ROUNDS = 1000
-BNB_NODE_LIMIT = 10_000
 
 
 class SolveError(Exception):
@@ -48,18 +50,19 @@ class Schedule:
     repaired: bool = False
 
     def __post_init__(self):
-        assert abs(self.total - sum(self.step_values)) <= 1e-9 * max(1.0, abs(self.total))
+        if abs(self.total - sum(self.step_values)) > 1e-9 * max(1.0, abs(self.total)):
+            raise ValueError(f"total {self.total} is not the sum of the step values")
         for a, b in zip(self.step_values, self.step_values[1:]):
-            assert b >= a - 1e-9, "per-step values must be nondecreasing"
-        if self.lp_bound is not None:
-            assert self.total <= self.lp_bound + VALUE_TOL
+            if b < a - 1e-9:
+                raise ValueError("per-step values must be nondecreasing")
+        if self.lp_bound is not None and self.total > self.lp_bound + VALUE_TOL:
+            raise ValueError(f"total {self.total} exceeds the LP bound {self.lp_bound}")
 
 
 @dataclass
 class MasterVars:
     y: list
     h: list  # h[i][j], 0-indexed columns
-    z: list | None  # doubly-stochastic vars (extended mode only)
     steps: list  # per-step dict element id -> var
 
 
@@ -77,31 +80,26 @@ def evaluate_schedule(instance: Instance, p: Permutation, method="evaluated") ->
 def build_master_lp(instance: Instance, mode: str = EXTENDED):
     """Assemble the master LP; returns (builder, MasterVars).
 
-    The builder is returned rather than a frozen program so cutting-plane
-    mode can keep appending violated prefix-sum cuts.
+    Both mode names build the same program. The builder is returned rather
+    than a frozen program so the solve loop can append violated prefix-sum
+    cuts, should separation ever find one.
     """
+    if mode not in MODES:
+        raise SolveError(f"unknown mode {mode!r}")
     m = instance.m
     if m < 1:
         raise SolveError("instance has no orderable elements")
     b = LpBuilder()
     y = [b.add_var(f"y[{i}]", 1.0, float(m)) for i in range(m)]
     h = [[b.add_var(f"h[{i},{j}]", 0.0, 1.0) for j in range(m)] for i in range(m)]
-    z = None
-    if mode == EXTENDED:
-        z, cons = birkhoff_extension(m, y, b)
-        b.add_all(cons)
-    elif mode == CUTTING_PLANE:
-        b.add(LinearConstraint({v: 1.0 for v in y}, EQ, float(math.comb(m + 1, 2)),
-                               name="position-sum"))
-    else:
-        raise SolveError(f"unknown mode {mode!r}")
+    b.add(LinearConstraint({v: 1.0 for v in y}, EQ, float(math.comb(m + 1, 2)),
+                           name="position-sum"))
     b.add_all(chain_transform_constraints(m, y, h))
     steps = []
     for j in range(1, m + 1):
         h_col = {e: h[i][j - 1] for i, e in enumerate(instance.orderable)}
-        x, _, _ = emit_step(instance, j, h_col, b)
-        steps.append(x)
-    return b, MasterVars(y, h, z, steps)
+        steps.append(emit_step(instance, j, h_col, b))
+    return b, MasterVars(y, h, steps)
 
 
 def _solve_with_cuts(builder, y_vars, m, tol=1e-7):
@@ -119,38 +117,32 @@ def _solve_with_cuts(builder, y_vars, m, tol=1e-7):
     raise SolveError("cut generation did not converge")
 
 
-def solve_schedule(instance: Instance, mode: str = EXTENDED, tol: float = VALUE_TOL,
-                   repair: str = "dp") -> Schedule:
+def _solve_master(instance: Instance, mode: str):
+    """Optimal master LP solution and its variables, or SolveError."""
+    builder, mv = build_master_lp(instance, mode)
+    sol = _solve_with_cuts(builder, mv.y, instance.m)
+    if sol.status != lpmod.OPTIMAL:
+        raise SolveError(f"master LP status: {sol.status}")
+    return sol, mv
+
+
+def solve_schedule(instance: Instance, mode: str = EXTENDED, tol: float = VALUE_TOL) -> Schedule:
     """Solve the master LP, extract the ordering, and certify it.
 
     The relaxation can sit strictly above the best schedule (per-step LP
     values are concave in the availability columns, so fractional positions
     overestimate), in which case the extracted ordering fails certification
-    and integrality is repaired exactly: by dynamic programming over
-    realized subsets (default) or by branch and bound on the
-    doubly-stochastic variables (repair='bnb').
+    and integrality is repaired exactly by dynamic programming over
+    realized subsets.
     """
-    m = instance.m
-    builder, mv = build_master_lp(instance, mode)
-    if mode == CUTTING_PLANE:
-        sol = _solve_with_cuts(builder, mv.y, m)
-    else:
-        sol = lp_solve(builder.build("max"))
-    if sol.status != lpmod.OPTIMAL:
-        raise SolveError(f"master LP status: {sol.status}")
+    sol, mv = _solve_master(instance, mode)
     bound = sol.objective
-    y = [sol.x[v] for v in mv.y]
-    perm = permutation_from_point(y, tolerance=0.25)
+    perm = permutation_from_point([sol.x[v] for v in mv.y])
     sched = evaluate_schedule(instance, perm, method="lp")
     if sched.total >= bound - tol:
         return Schedule(sched.permutation, sched.step_values, sched.total, "lp",
                         order=sched.order, lp_bound=bound, certified=True)
-    if repair == "dp":
-        best = _repair_subset_dp(instance)
-    elif repair == "bnb":
-        best = _repair_branch_and_bound(instance, bound, tol)
-    else:
-        raise SolveError(f"unknown repair strategy {repair!r}")
+    best = _repair_subset_dp(instance)
     if best.total < sched.total:
         best = sched
     return Schedule(best.permutation, best.step_values, best.total, "lp",
@@ -198,65 +190,15 @@ def _repair_subset_dp(instance: Instance) -> Schedule:
     return evaluate_schedule(instance, perm)
 
 
-def _repair_branch_and_bound(instance: Instance, root_bound: float, tol: float) -> Schedule:
-    """Depth-first branch and bound fixing doubly-stochastic entries to 0/1."""
-    builder, mv = build_master_lp(instance, EXTENDED)
-    base_lower = list(builder.lower)
-    base_upper = list(builder.upper)
-    z_flat = [v for row in mv.z for v in row]
-    best: Schedule | None = None
-    nodes = 0
-    stack = [{}]  # var -> fixed value
-    while stack:
-        fixes = stack.pop()
-        nodes += 1
-        if nodes > BNB_NODE_LIMIT:
-            raise SolveError("integrality repair node limit exceeded")
-        builder.lower = list(base_lower)
-        builder.upper = list(base_upper)
-        for var, val in fixes.items():
-            builder.lower[var] = val
-            builder.upper[var] = val
-        sol = lp_solve(builder.build("max"))
-        if sol.status != lpmod.OPTIMAL:
-            continue
-        if best is not None and sol.objective <= best.total + tol:
-            continue
-        frac_var, frac = None, 0.0
-        for v in z_flat:
-            d = abs(sol.x[v] - round(sol.x[v]))
-            if d > frac + 1e-9:
-                frac_var, frac = v, d
-        if frac_var is None or frac <= 1e-6:
-            perm = permutation_from_point([sol.x[v] for v in mv.y], tolerance=0.25)
-            cand = evaluate_schedule(instance, perm)
-            if best is None or cand.total > best.total + 1e-12:
-                best = cand
-            continue
-        # branch toward 1 first (explored last-pushed-first on the stack)
-        stack.append({**fixes, frac_var: 0.0})
-        stack.append({**fixes, frac_var: 1.0})
-    if best is None:
-        raise SolveError("integrality repair found no feasible schedule")
-    return best
-
-
 def master_lp_value(instance: Instance, mode: str = EXTENDED) -> float:
     """Objective of the master LP relaxation (no extraction)."""
-    builder, mv = build_master_lp(instance, mode)
-    if mode == CUTTING_PLANE:
-        sol = _solve_with_cuts(builder, mv.y, instance.m)
-    else:
-        sol = lp_solve(builder.build("max"))
-    if sol.status != lpmod.OPTIMAL:
-        raise SolveError(f"master LP status: {sol.status}")
-    return sol.objective
+    return _solve_master(instance, mode)[0].objective
 
 
 def master_lp_value_fixed_y(instance: Instance, p: Permutation) -> float:
     """Master LP objective with the position variables pinned to a
     permutation; used to check the per-step blocks decouple."""
-    builder, mv = build_master_lp(instance, EXTENDED)
+    builder, mv = build_master_lp(instance)
     for i, v in enumerate(mv.y):
         builder.lower[v] = float(p.positions[i])
         builder.upper[v] = float(p.positions[i])

@@ -244,9 +244,8 @@ def emit_step(instance: Instance, j: int, h_vars, builder):
     """Add the step-j subproblem block to `builder`.
 
     h_vars maps orderable element id -> the chain variable for column j.
-    Returns (new variable ids dict element id -> var, constraints added,
-    objective terms dict var -> coefficient). Objective terms are also
-    installed on the builder.
+    Returns the new variable ids, a dict element id -> var. The block's
+    constraints and objective terms are installed on the builder.
     """
     if not (1 <= j <= instance.m):
         raise InstanceError(f"step {j} out of range")
@@ -260,43 +259,31 @@ def emit_step(instance: Instance, j: int, h_vars, builder):
 def _emit_matching_step(instance, j, h_vars, builder):
     data = instance.matching
     x = {}
-    cons = []
-    obj = {}
     for e in sorted(data.edges):
         x[e] = builder.add_var(f"x{j}[{e}]", 0.0, 1.0)
-        obj[x[e]] = data.weights[e]
         builder.set_objective(x[e], data.weights[e])
         if e in h_vars:
-            con = LinearConstraint({x[e]: 1.0, h_vars[e]: -1.0}, LE, 0.0, name=f"avail{j}[{e}]")
-            cons.append(con)
-            builder.add(con)
+            builder.add(LinearConstraint({x[e]: 1.0, h_vars[e]: -1.0}, LE, 0.0,
+                                         name=f"avail{j}[{e}]"))
     by_vertex = {}
     for e, (u, v) in data.edges.items():
         by_vertex.setdefault(u, []).append(e)
         by_vertex.setdefault(v, []).append(e)
     for v in sorted(by_vertex):
-        con = LinearConstraint(
-            {x[e]: 1.0 for e in by_vertex[v]}, LE, 1.0, name=f"deg{j}[{v}]"
-        )
-        cons.append(con)
-        builder.add(con)
-    return x, cons, obj
+        builder.add(LinearConstraint({x[e]: 1.0 for e in by_vertex[v]}, LE, 1.0,
+                                     name=f"deg{j}[{v}]"))
+    return x
 
 
 def _emit_flow_step(instance, j, h_vars, builder):
     data = instance.flow
     f = {}
-    cons = []
-    obj = {}
     for a in sorted(data.arcs):
         cap = data.finite_cap(a)
         f[a] = builder.add_var(f"f{j}[{a}]", 0.0, cap)
         if a in h_vars:
-            con = LinearConstraint(
-                {f[a]: 1.0, h_vars[a]: -cap}, LE, 0.0, name=f"avail{j}[{a}]"
-            )
-            cons.append(con)
-            builder.add(con)
+            builder.add(LinearConstraint({f[a]: 1.0, h_vars[a]: -cap}, LE, 0.0,
+                                         name=f"avail{j}[{a}]"))
     for node in sorted(data.nodes):
         if node in (data.source, data.sink):
             continue
@@ -308,11 +295,11 @@ def _emit_flow_step(instance, j, h_vars, builder):
                 coefs[f[a]] = coefs.get(f[a], 0.0) - 1.0
         coefs = {var: c for var, c in coefs.items() if c != 0.0}
         if coefs:
-            con = LinearConstraint(coefs, EQ, 0.0, name=f"conserve{j}[{node}]")
-            cons.append(con)
-            builder.add(con)
+            builder.add(LinearConstraint(coefs, EQ, 0.0, name=f"conserve{j}[{node}]"))
+    # net outflow of the source, the value max_flow counts
     for a, (t, h) in sorted(data.arcs.items()):
         if t == data.source:
-            obj[f[a]] = obj.get(f[a], 0.0) + 1.0
             builder.set_objective(f[a], 1.0)
-    return f, cons, obj
+        if h == data.source:
+            builder.set_objective(f[a], -1.0)
+    return f

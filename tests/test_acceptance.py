@@ -31,9 +31,9 @@ from permopt.perms import (
     chain_transform_constraints,
     separate_permutahedron,
 )
-from permopt.scheduler import CUTTING_PLANE, EXTENDED, evaluate_schedule, master_lp_value, solve_schedule
+from permopt.scheduler import evaluate_schedule, master_lp_value, solve_schedule
 from permopt.subproblems import emit_step, step_value
-from test_scheduler import order_to_perm
+from test_scheduler import birkhoff_master_value, order_to_perm
 
 TOL = 1e-6
 
@@ -218,7 +218,5 @@ def test_criterion_11_mode_agreement():
     for _ in range(30):
         instances.append(random_flow_instance(rng, rng.randint(2, 6)))
     for inst in instances:
-        a = master_lp_value(inst, EXTENDED)
-        b = master_lp_value(inst, CUTTING_PLANE)
-        assert a == pytest.approx(b, abs=TOL)
-    report(11, f"extended and cutting-plane optima agree on {len(instances)} instances")
+        assert master_lp_value(inst) == pytest.approx(birkhoff_master_value(inst), abs=TOL)
+    report(11, f"master LP with and without the Birkhoff z-block agree on {len(instances)} instances")

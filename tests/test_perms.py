@@ -57,7 +57,7 @@ class TestPermutationFromPoint:
     def test_round_trip_near_integral(self):
         p = Permutation((3, 1, 2))
         y = [v + 1e-7 * (-1) ** v for v in p.positions]
-        assert permutation_from_point(y, tolerance=1e-6) == p
+        assert permutation_from_point(y) == p
 
 
 class TestRadoBound:

@@ -5,10 +5,14 @@ import pytest
 from conftest import random_flow_instance, random_matching_instance
 from permopt.baselines import brute_force
 from permopt.instance_io import bundled_instance
-from permopt.perms import Permutation, all_permutations
+from permopt.lp import OPTIMAL, solve
+from permopt.perms import Permutation, all_permutations, birkhoff_extension
 from permopt.scheduler import (
     CUTTING_PLANE,
     EXTENDED,
+    Schedule,
+    SolveError,
+    build_master_lp,
     evaluate_schedule,
     master_lp_value,
     master_lp_value_fixed_y,
@@ -20,6 +24,18 @@ from permopt.subproblems import MatchingInstance, make_instance
 def order_to_perm(instance, order_ids):
     index = {e: i for i, e in enumerate(instance.orderable)}
     return Permutation.from_order([index[e] for e in order_ids])
+
+
+def birkhoff_master_value(instance):
+    """Optimum of the master LP with a doubly-stochastic z-block added on
+    the position variables: the reference formulation that the single
+    master program must match."""
+    builder, mv = build_master_lp(instance)
+    _, cons = birkhoff_extension(instance.m, mv.y, builder)
+    builder.add_all(cons)
+    sol = solve(builder.build("max"))
+    assert sol.status == OPTIMAL
+    return sol.objective
 
 
 class TestEvaluateSchedule:
@@ -38,6 +54,15 @@ class TestEvaluateSchedule:
         inst = bundled_instance("d3")
         s = evaluate_schedule(inst, order_to_perm(inst, [7, 8, 1, 2, 3, 4, 5, 6]))
         assert s.total == pytest.approx(6.4)
+
+    @pytest.mark.parametrize("steps,total,bound", [
+        ((1.0, 2.0), 4.0, None),   # total is not the sum of the steps
+        ((2.0, 1.0), 3.0, None),   # steps decrease
+        ((1.0, 2.0), 3.0, 2.5),    # total exceeds the LP bound
+    ])
+    def test_invariants_raise(self, steps, total, bound):
+        with pytest.raises(ValueError):
+            Schedule(Permutation((1, 2)), steps, total, "evaluated", lp_bound=bound)
 
     def test_steps_nondecreasing(self):
         inst = bundled_instance("g2")
@@ -71,10 +96,21 @@ class TestMasterLp:
 
     @pytest.mark.parametrize("name", ["g1", "g2", "d1", "d2"])
     def test_mode_agreement_bundled(self, name):
+        # the chain program alone and with the Birkhoff z-block have one optimum
         inst = bundled_instance(name)
-        a = master_lp_value(inst, EXTENDED)
-        b = master_lp_value(inst, CUTTING_PLANE)
-        assert a == pytest.approx(b, abs=1e-6)
+        assert master_lp_value(inst) == pytest.approx(birkhoff_master_value(inst), abs=1e-6)
+
+    @pytest.mark.parametrize("name", ["g1", "d1"])
+    def test_mode_names_build_one_program(self, name):
+        inst = bundled_instance(name)
+        a, va = build_master_lp(inst, EXTENDED)
+        b, vb = build_master_lp(inst, CUTTING_PLANE)
+        assert a.build("max") == b.build("max")
+        assert va == vb
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(SolveError):
+            build_master_lp(bundled_instance("g1"), "birkhoff")
 
 
 class TestSolveSchedule:
@@ -109,8 +145,10 @@ class TestSolveSchedule:
             b = solve_schedule(bundled_instance(name), mode=CUTTING_PLANE)
             assert a.total == pytest.approx(b.total, abs=1e-6)
 
-    def test_bnb_repair_agrees_with_dp(self):
-        for name in ("g1", "d2"):
-            a = solve_schedule(bundled_instance(name), repair="dp")
-            b = solve_schedule(bundled_instance(name), repair="bnb")
-            assert a.total == pytest.approx(b.total, abs=1e-6)
+    def test_default_mode_solves_m9_matching(self):
+        # this instance stalled the doubly-stochastic formulation at the
+        # simplex iteration limit
+        inst = random_matching_instance(random.Random(424245), 9)
+        s = solve_schedule(inst)
+        assert s.total == pytest.approx(221.0, abs=1e-6)
+        assert s.certified

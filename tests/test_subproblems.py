@@ -115,6 +115,15 @@ class TestEmitStep:
         assert step_lp_value(inst, {5}) == pytest.approx(1.9)
         assert step_value(inst, {5}) == pytest.approx(1.9)
 
+    def test_arc_into_source_counts_net_flow(self):
+        # s->2 and 2->s form a cycle through the source; only s->t reaches t
+        data = FlowInstance({0: (0, 2), 1: (2, 0), 2: (0, 1)}, {0: 5.0, 1: 5.0, 2: 1.0}, 0, 1)
+        inst = make_instance("flow", data, [])
+        for r in range(inst.m + 1):
+            for subset in itertools.combinations(inst.orderable, r):
+                assert step_lp_value(inst, set(subset)) == pytest.approx(
+                    step_value(inst, set(subset)), abs=1e-9)
+
     def test_bad_step_index(self):
         inst = bundled_instance("g1")
         b = LpBuilder()
