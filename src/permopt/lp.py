@@ -1,9 +1,13 @@
-"""Dense two-phase primal simplex solver.
+"""Dense two-phase bounded-variable primal simplex solver.
 
-Small, self-contained, and deterministic: Bland's rule is engaged from the
-first pivot so every solve terminates (no cycling), at the cost of speed.
-All the polyhedral machinery in this package (master programs, membership
-checks, uniqueness checks, branch and bound) goes through `solve`.
+Small, self-contained, and deterministic. Variable bounds stay out of the
+tableau: the ratio test stops a variable at its upper bound and reflects
+its column instead of carrying one row per bounded variable. Pricing is
+Dantzig's rule (most negative reduced cost); after DEGENERATE_LIMIT
+degenerate steps in a row it falls back to Bland's rule, which cannot
+cycle, until a step makes progress. All the polyhedral machinery in this
+package (master programs, membership checks, uniqueness checks) goes
+through `solve`.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ import numpy as np
 FEAS_TOL = 1e-9
 VALUE_TOL = 1e-6
 MAX_ITER = 50_000
+# degenerate steps in a row before pricing falls back to Bland's rule
+DEGENERATE_LIMIT = 50
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -93,7 +99,7 @@ class LpSolution:
     status: str
     objective: float | None = None
     x: np.ndarray | None = None
-    iterations: int = 0
+    iterations: int = 0  # simplex pivots plus bound flips, both phases
 
 
 class LpBuilder:
@@ -157,29 +163,32 @@ class LpBuilder:
 
 
 def _to_standard_form(lp: LinearProgram):
-    """Rewrite as max c.u, A u (<=,=) b, u >= 0, b >= 0.
+    """Rewrite as max c.u, A u (<=,=) b, 0 <= u <= ub.
 
-    Returns (c, rows, recover) where recover maps a standard-form point back
-    to the original variable space. Each original variable is shifted by its
-    finite lower bound, reflected if only the upper bound is finite, or split
-    into a difference of nonnegatives if free.
+    Returns (c, rows, ub, const, sign, recover): `rows` holds one
+    (dense coefficients, relation, rhs) triple per constraint, `ub` the
+    upper bound of each standard column (math.inf when there is none),
+    `const` and `sign` map c.u back to the original objective, and
+    `recover` maps a standard-form point back to the original variables.
+    Each original variable is shifted by its finite lower bound (its upper
+    bound becomes ub - lb), reflected if only the upper bound is finite, or
+    split into a difference of nonnegatives if free. Bounds stay bounds:
+    the simplex handles them in its ratio test, not as rows.
     """
     cols = []  # per original var: ('shift', u_idx, lb) | ('reflect', u_idx, ub) | ('free', u+, u-)
-    n_std = 0
-    extra_rows = []  # (u_idx, ub_value) rows u <= value
+    ub = []
     for i in range(lp.n):
-        lb, ub = lp.lower[i], lp.upper[i]
-        if lb > -math.inf:
-            cols.append(("shift", n_std, lb))
-            if ub < math.inf:
-                extra_rows.append((n_std, ub - lb))
-            n_std += 1
-        elif ub < math.inf:
-            cols.append(("reflect", n_std, ub))
-            n_std += 1
+        lo, hi = lp.lower[i], lp.upper[i]
+        if lo > -math.inf:
+            cols.append(("shift", len(ub), lo))
+            ub.append(hi - lo)
+        elif hi < math.inf:
+            cols.append(("reflect", len(ub), hi))
+            ub.append(math.inf)
         else:
-            cols.append(("free", n_std, n_std + 1))
-            n_std += 2
+            cols.append(("free", len(ub), len(ub) + 1))
+            ub += [math.inf, math.inf]
+    n_std = len(ub)
 
     sign = 1.0 if lp.sense == "max" else -1.0
     c = np.zeros(n_std)
@@ -213,10 +222,6 @@ def _to_standard_form(lp: LinearProgram):
                 row[a] += coef
                 row[b] -= coef
         rows.append((row, con.relation, rhs))
-    for u_idx, val in extra_rows:
-        row = np.zeros(n_std)
-        row[u_idx] = 1.0
-        rows.append((row, LE, val))
 
     def recover(u):
         x = np.zeros(lp.n)
@@ -230,59 +235,102 @@ def _to_standard_form(lp: LinearProgram):
                 x[i] = u[a] - u[b]
         return x
 
-    return c, rows, const, sign, recover
+    return c, rows, np.array(ub), const, sign, recover
 
 
 def _pivot(T, basis, row, col):
+    # only entries in a row with a nonzero in the pivot column and a column
+    # with a nonzero in the pivot row change; the master tableaus are sparse
     T[row] /= T[row, col]
     factors = T[:, col].copy()
     factors[row] = 0.0
-    T -= np.outer(factors, T[row])
+    rows = factors.nonzero()[0]
+    cols = T[row].nonzero()[0]
+    T[rows[:, None], cols] -= factors[rows, None] * T[row, cols]
     basis[row] = col
 
 
-def _simplex(T, basis, n_cols, start_iter, max_iter, pivot_tol=1e-9):
-    """Run Bland-rule simplex on tableau T (last row = objective, last col = rhs).
+def _reflect(T, col, ub, flipped):
+    """Substitute u' = ub - u for nonbasic column `col`, so the variable
+    that sat at its upper bound sits at 0 again: the rhs column (objective
+    row included) absorbs the shift and the column changes sign."""
+    T[:, -1] -= T[:, col] * ub[col]
+    T[:, col] *= -1.0
+    flipped[col] = not flipped[col]
 
-    Objective row holds reduced costs; we pivot while some reduced cost is
-    < -tol. Returns (status, iterations used).
+
+def _simplex(T, basis, ub, flipped, n_cols, start_iter, max_iter, pivot_tol=1e-9):
+    """Bounded-variable primal simplex on tableau T (last row = objective,
+    last col = rhs), every nonbasic column at 0 after reflection.
+
+    The objective row holds reduced costs; columns below n_cols whose
+    reduced cost is < -tol and whose upper bound is positive may enter.
+    Dantzig pricing picks the most negative reduced cost (smallest index on
+    ties); after DEGENERATE_LIMIT degenerate steps in a row it falls back
+    to Bland's rule (smallest eligible index) until a step makes progress.
+    The ratio test stops at the first of: a basic variable reaching 0, a
+    basic variable reaching its upper bound (pivot, then reflect the
+    leaving column), or the entering variable reaching its own upper bound
+    (reflect it, no basis change). Ties between rows go to the smallest
+    basic index. Returns (status, iterations used); an iteration is a pivot
+    or a bound flip.
     """
     it = start_iter
     m_rows = T.shape[0] - 1
-    basis_arr = np.asarray(basis)
+    basis_arr = np.array(basis)
+    can_enter = ub[:n_cols] > 0.0
+    degenerate = 0
     while True:
         if it >= max_iter:
             return ITERATION_LIMIT, it
-        neg = np.nonzero(T[-1, :n_cols] < -pivot_tol)[0]
-        if neg.size == 0:
+        reduced = T[-1, :n_cols]
+        eligible = (reduced < -pivot_tol) & can_enter
+        if not eligible.any():
             return OPTIMAL, it
-        enter = int(neg[0])
-        # Bland leaving rule: min ratio, ties by smallest basis variable index
+        if degenerate < DEGENERATE_LIMIT:
+            enter = int(np.where(eligible, reduced, 0.0).argmin())
+        else:
+            enter = int(eligible.argmax())
         col = T[:m_rows, enter]
-        pos = np.nonzero(col > pivot_tol)[0]
-        if pos.size == 0:
-            return UNBOUNDED, it
-        ratios = T[pos, -1] / col[pos]
-        min_ratio = ratios.min()
-        cand = pos[ratios <= min_ratio + 1e-12]
-        leave = int(cand[np.argmin(basis_arr[cand])])
-        _pivot(T, basis, leave, enter)
-        basis_arr[leave] = basis[leave]
+        rhs = T[:m_rows, -1]
+        ub_basic = ub[basis_arr]
+        down = (col > pivot_tol).nonzero()[0]
+        up = ((col < -pivot_tol) & (ub_basic < math.inf)).nonzero()[0]
+        ratios = np.maximum(
+            np.concatenate((rhs[down] / col[down], (ub_basic[up] - rhs[up]) / -col[up])), 0.0
+        )
+        step = ratios.min() if ratios.size else math.inf
+        if ub[enter] <= step:
+            if ub[enter] == math.inf:
+                return UNBOUNDED, it
+            _reflect(T, enter, ub, flipped)
+            degenerate = 0
+        else:
+            cand = (ratios <= step + 1e-12).nonzero()[0]
+            rows = np.concatenate((down, up))[cand]
+            pick = int(basis_arr[rows].argmin())
+            row, leaving = int(rows[pick]), int(basis_arr[rows[pick]])
+            _pivot(T, basis, row, enter)
+            basis_arr[row] = enter
+            if cand[pick] >= down.size:  # it left at its upper bound
+                _reflect(T, leaving, ub, flipped)
+            degenerate = degenerate + 1 if step <= pivot_tol else 0
         it += 1
 
 
 def solve(lp: LinearProgram, feas_tol=FEAS_TOL, max_iter=MAX_ITER) -> LpSolution:
-    """Two-phase primal simplex. Deterministic for a fixed input."""
-    c, rows, const, sign, recover = _to_standard_form(lp)
+    """Two-phase bounded-variable primal simplex. Deterministic for a fixed input."""
+    c, rows, ub_std, const, sign, recover = _to_standard_form(lp)
     n_std = len(c)
     m_rows = len(rows)
 
     if m_rows == 0:
-        # Only bounds; optimum is at a bound or unbounded.
+        # Only bounds: each variable sits at the bound its cost points to.
         u = np.zeros(n_std)
-        if np.any(c > feas_tol):
-            # any positive-cost standard variable is unbounded above here
+        up = c > feas_tol
+        if np.any(ub_std[up] == math.inf):
             return LpSolution(UNBOUNDED)
+        u[up] = ub_std[up]
         x = recover(u)
         obj = float(np.dot(c, u) + const) * sign
         return LpSolution(OPTIMAL, obj, x)
@@ -310,6 +358,8 @@ def solve(lp: LinearProgram, feas_tol=FEAS_TOL, max_iter=MAX_ITER) -> LpSolution
     art_rows = [r for r, rel in enumerate(rels) if rel != LE]
     n_art = len(art_rows)
     total = n_std + n_slack + n_art
+    ub = np.concatenate((ub_std, np.full(n_slack + n_art, math.inf)))
+    flipped = np.zeros(total, dtype=bool)
 
     T = np.zeros((m_rows + 1, total + 1))
     T[:m_rows, :n_std] = A
@@ -338,7 +388,7 @@ def solve(lp: LinearProgram, feas_tol=FEAS_TOL, max_iter=MAX_ITER) -> LpSolution
                 T[-1, : total] -= T[r, :total]
                 T[-1, -1] -= T[r, -1]
         T[-1, n_std + n_slack : total] = 0.0
-        status, iters = _simplex(T, basis, total, 0, max_iter)
+        status, iters = _simplex(T, basis, ub, flipped, total, 0, max_iter)
         if status == ITERATION_LIMIT:
             return LpSolution(ITERATION_LIMIT, iterations=iters)
         if -T[-1, -1] > 1e-7:
@@ -356,23 +406,26 @@ def solve(lp: LinearProgram, feas_tol=FEAS_TOL, max_iter=MAX_ITER) -> LpSolution
                 # else: redundant row, artificial stays basic at value 0
         T[:, n_std + n_slack : total] = 0.0
 
-    # phase 2 objective row: reduced costs relative to current basis
+    # phase 2 objective row: reduced costs of the reflected columns
+    # relative to the current basis
+    cost = np.zeros(total)
+    cost[:n_std] = np.where(flipped[:n_std], -c, c)
     T[-1, :] = 0.0
-    T[-1, :n_std] = -c
+    T[-1, :total] = -cost
     for r in range(m_rows):
         bc = basis[r]
-        if bc < n_std and c[bc] != 0.0:
-            T[-1, : total] += c[bc] * T[r, :total]
-            T[-1, -1] += c[bc] * T[r, -1]
-    status, iters = _simplex(T, basis, n_std + n_slack, iters, max_iter)
+        if cost[bc] != 0.0:
+            T[-1, : total] += cost[bc] * T[r, :total]
+            T[-1, -1] += cost[bc] * T[r, -1]
+    status, iters = _simplex(T, basis, ub, flipped, n_std + n_slack, iters, max_iter)
     if status == ITERATION_LIMIT:
         return LpSolution(ITERATION_LIMIT, iterations=iters)
     if status == UNBOUNDED:
         return LpSolution(UNBOUNDED, iterations=iters)
 
     u = np.zeros(total)
-    for r in range(m_rows):
-        u[basis[r]] = T[r, -1]
+    u[basis] = T[:m_rows, -1]
+    u[flipped] = ub[flipped] - u[flipped]
     x = recover(u[:n_std])
     obj = float(np.dot(c, u[:n_std]) + const) * sign
     return LpSolution(OPTIMAL, obj, x, iterations=iters)

@@ -60,6 +60,24 @@ class FlowInstance:
         for a, c in self.capacities.items():
             if c < 0:
                 raise InstanceError(f"arc {a} has negative capacity {c}")
+        # Every arc is built by step m, so fixed and orderable arcs both
+        # count: an s-t path of uncapacitated arcs makes the last steps'
+        # max flow unbounded, which no finite stand-in capacity represents.
+        uncapacitated = {}
+        for a, (tail, head) in self.arcs.items():
+            if math.isinf(self.capacities[a]):
+                uncapacitated.setdefault(tail, []).append(head)
+        reached, frontier = {self.source}, [self.source]
+        while frontier:
+            for head in uncapacitated.get(frontier.pop(), ()):
+                if head == self.sink:
+                    raise InstanceError(
+                        "the sink is reachable from the source through uncapacitated "
+                        "arcs alone, so the max flow is unbounded"
+                    )
+                if head not in reached:
+                    reached.add(head)
+                    frontier.append(head)
 
     @property
     def nodes(self):
@@ -71,7 +89,8 @@ class FlowInstance:
 
     def finite_cap(self, a) -> float:
         """Capacity with 'uncapacitated' replaced by a safe finite bound
-        (sum of all finite capacities)."""
+        (sum of all finite capacities): with no s-t path of uncapacitated
+        arcs, the finite arcs hold an s-t cut, so no max flow exceeds it."""
         c = self.capacities[a]
         if math.isinf(c):
             return sum(v for v in self.capacities.values() if not math.isinf(v))

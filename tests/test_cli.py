@@ -122,6 +122,17 @@ class TestRun:
         assert run(["validate", "--instance", str(bad)]) == EXIT_VALIDATION
         assert "validation error" in capsys.readouterr().err
 
+    def test_unbounded_flow_exit_code(self, tmp_path, capsys):
+        doc = {"family": "flow", "source": 0, "sink": 1, "elements": [
+            {"id": 0, "fixed": False, "tail": 0, "head": 2, "cap": "inf"},
+            {"id": 1, "fixed": True, "tail": 2, "head": 1, "cap": "inf"},
+            {"id": 2, "fixed": False, "tail": 0, "head": 1, "cap": 2},
+        ]}
+        path = tmp_path / "unbounded.json"
+        path.write_text(json.dumps(doc))
+        assert run(["solve", "--instance", str(path)]) == EXIT_VALIDATION
+        assert "unbounded" in capsys.readouterr().err
+
     def test_missing_file_exit_code(self, capsys):
         assert run(["solve", "--instance", "nope.json"]) == EXIT_VALIDATION
         capsys.readouterr()

@@ -4,10 +4,12 @@ import random
 import numpy as np
 import pytest
 
+from permopt import lp as lpmod
 from permopt.lp import (
     EQ,
     GE,
     INFEASIBLE,
+    ITERATION_LIMIT,
     LE,
     OPTIMAL,
     UNBOUNDED,
@@ -154,3 +156,110 @@ def test_builder_folds_singleton_constraints():
     b.add(LinearConstraint({x: 2.0}, LE, 6.0))
     assert b.upper[x] == 3.0
     assert not b.constraints
+
+
+@pytest.fixture
+def simplex_events(monkeypatch):
+    """Record each pivot as ("pivot", leaving column, entering column) and
+    each bound reflection as ("reflect", column), in order."""
+    events = []
+    pivot, reflect = lpmod._pivot, lpmod._reflect
+
+    def spy_pivot(T, basis, row, col):
+        events.append(("pivot", basis[row], col))
+        pivot(T, basis, row, col)
+
+    def spy_reflect(T, col, ub, flipped):
+        events.append(("reflect", col))
+        reflect(T, col, ub, flipped)
+
+    monkeypatch.setattr(lpmod, "_pivot", spy_pivot)
+    monkeypatch.setattr(lpmod, "_reflect", spy_reflect)
+    return events
+
+
+def test_entering_variable_flips_to_its_upper_bound(simplex_events):
+    # max x + y s.t. x + y <= 10, x <= 1, y <= 2: the row never binds, so
+    # each entering variable stops at its own bound and the basis stays put
+    b = LpBuilder()
+    x = b.add_var("x", 0.0, 1.0, objective=1.0)
+    y = b.add_var("y", 0.0, 2.0, objective=1.0)
+    b.add(LinearConstraint({x: 1.0, y: 1.0}, LE, 10.0))
+    lp = b.build("max")
+    sol = solve(lp)
+    assert sol.status == OPTIMAL
+    assert sol.objective == pytest.approx(3.0, abs=1e-9)
+    assert sol.x == pytest.approx([1.0, 2.0], abs=1e-9)
+    assert sol.iterations == 2
+    assert simplex_events == [("reflect", x), ("reflect", y)]
+    assert verify(lp, sol)
+
+
+def test_basic_variable_leaves_at_its_upper_bound(simplex_events):
+    # max 3x + y s.t. x - y <= 0, x + y <= 4, x <= 1, y <= 5. x enters
+    # first (degenerate, on the first row); then y enters and pushes the
+    # basic x up to its bound 1 before any row binds, so x leaves there
+    b = LpBuilder()
+    x = b.add_var("x", 0.0, 1.0, objective=3.0)
+    y = b.add_var("y", 0.0, 5.0, objective=1.0)
+    b.add(LinearConstraint({x: 1.0, y: -1.0}, LE, 0.0))
+    b.add(LinearConstraint({x: 1.0, y: 1.0}, LE, 4.0))
+    lp = b.build("max")
+    sol = solve(lp)
+    assert sol.status == OPTIMAL
+    assert sol.objective == pytest.approx(6.0, abs=1e-9)
+    assert sol.x == pytest.approx([1.0, 3.0], abs=1e-9)
+    assert verify(lp, sol)
+    i = simplex_events.index(("pivot", x, y))
+    assert simplex_events[i + 1] == ("reflect", x)
+
+
+def test_bounds_only_maximum_is_the_cost_corner():
+    # no rows: positive costs go to the upper bound, the rest to the lower
+    lp = LinearProgram(4, [0.0, -1.0, 2.0, -math.inf], [1.0, 4.0, 5.0, 7.0],
+                       [2.0, -1.0, 3.0, 1.0], "max")
+    sol = solve(lp)
+    assert sol.status == OPTIMAL
+    assert sol.x == pytest.approx([1.0, -1.0, 5.0, 7.0], abs=1e-12)
+    assert sol.objective == pytest.approx(25.0, abs=1e-12)
+    assert verify(lp, sol)
+
+
+def test_bounds_only_maximum_with_an_infinite_upper_bound_is_unbounded():
+    lp = LinearProgram(2, [0.0, 0.0], [1.0, math.inf], [1.0, 1.0], "max")
+    assert solve(lp).status == UNBOUNDED
+    # an infinite bound on the side the cost points away from is harmless
+    lp = LinearProgram(2, [0.0, 0.0], [1.0, math.inf], [1.0, -1.0], "max")
+    sol = solve(lp)
+    assert sol.status == OPTIMAL
+    assert sol.x == pytest.approx([1.0, 0.0], abs=1e-12)
+
+
+def beale_lp(x2_bound_as_row):
+    """Beale's cycling example: max 3/4 x0 - 20 x1 + 1/2 x2 - 6 x3 s.t.
+    1/4 x0 - 8 x1 - x2 + 9 x3 <= 0, 1/2 x0 - 12 x1 - 1/2 x2 + 3 x3 <= 0,
+    x2 <= 1, x >= 0. Optimum 5/4 at x = (1, 0, 1, 0)."""
+    b = LpBuilder()
+    for i, c in enumerate([0.75, -20.0, 0.5, -6.0]):
+        upper = 1.0 if i == 2 and not x2_bound_as_row else math.inf
+        b.add_var(f"x{i}", 0.0, upper, objective=c)
+    b.add(LinearConstraint({0: 0.25, 1: -8.0, 2: -1.0, 3: 9.0}, LE, 0.0))
+    b.add(LinearConstraint({0: 0.5, 1: -12.0, 2: -0.5, 3: 3.0}, LE, 0.0))
+    if x2_bound_as_row:
+        b.constraints.append(LinearConstraint({2: 1.0}, LE, 1.0))  # not folded
+    return b.build("max")
+
+
+@pytest.mark.parametrize("x2_bound_as_row", [True, False], ids=["row", "bound"])
+def test_beale_cycling_example(x2_bound_as_row, monkeypatch):
+    lp = beale_lp(x2_bound_as_row)
+    assert len(lp.constraints) == (3 if x2_bound_as_row else 2)
+    sol = solve(lp)
+    assert sol.status == OPTIMAL
+    assert sol.objective == pytest.approx(1.25, abs=1e-9)
+    assert sol.x == pytest.approx([1.0, 0.0, 1.0, 0.0], abs=1e-9)
+    assert verify(lp, sol)
+    # Dantzig pricing alone cycles here: the Bland fallback is what ends it
+    assert sol.iterations > lpmod.DEGENERATE_LIMIT
+    monkeypatch.setattr(lpmod, "DEGENERATE_LIMIT", 10**9)
+    assert solve(lp, max_iter=1000).status == ITERATION_LIMIT

@@ -180,6 +180,17 @@ class TestValidation:
         with pytest.raises(InstanceError):
             Instance("flow", None, data, (0,), (0,))
 
+    def test_uncapacitated_source_sink_path_rejected(self):
+        # s->2 and 2->t uncapacitated: the max flow with every arc built is
+        # unbounded, which no finite stand-in capacity may report
+        arcs = {0: (0, 2), 1: (2, 1), 2: (0, 1)}
+        with pytest.raises(InstanceError, match="unbounded"):
+            FlowInstance(arcs, {0: math.inf, 1: math.inf, 2: 2.0}, 0, 1)
+        # one finite arc on the path keeps the flow bounded
+        FlowInstance(arcs, {0: math.inf, 1: 5.0, 2: 2.0}, 0, 1)
+        # an uncapacitated path that leads away from the sink is fine
+        FlowInstance({0: (0, 2), 1: (1, 2), 2: (0, 1)}, {0: math.inf, 1: math.inf, 2: 2.0}, 0, 1)
+
     def test_uncapacitated_bound_is_finite(self):
         data = FlowInstance({0: (0, 1), 1: (1, 2)}, {0: 3.0, 1: math.inf}, 0, 2)
         assert data.finite_cap(1) == 3.0
