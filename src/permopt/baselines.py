@@ -1,5 +1,11 @@
 """Greedy baselines, the brute-force ordering oracle, and the unconstrained
-monotone-submodular greedy with its approximation-ratio lower bound."""
+monotone-submodular greedy with its approximation-ratio lower bound.
+
+All greedies run one marginal-gain loop (`_greedy`) over a value function
+they pass in. Both brute forces enumerate every ordering with one loop
+(`_best_order`) over a bitmask-indexed table of subset values; for
+instances that table is `subproblems.subset_values`.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +15,15 @@ from dataclasses import dataclass
 
 from .perms import Permutation
 from .scheduler import Schedule, evaluate_schedule
-from .subproblems import FLOW, MATCHING, Instance, best_matching, max_flow, step_value
+from .subproblems import (
+    FLOW,
+    MATCHING,
+    Instance,
+    best_matching,
+    max_flow,
+    step_value,
+    subset_values,
+)
 
 BRUTE_FORCE_GUARD = 9
 
@@ -18,34 +32,26 @@ class GuardError(Exception):
     """Problem size exceeds an enumeration guard."""
 
 
-def _cached_step_value(instance: Instance):
-    cache = {}
-
-    def value(realized) -> float:
-        key = frozenset(realized)
-        if key not in cache:
-            cache[key] = step_value(instance, key)
-        return cache[key]
-
-    return value
+def _greedy(value, pools) -> list:
+    """Realize, pool after pool, the element of the current pool with the
+    best marginal gain under `value`; ties broken by smallest element id."""
+    chosen = []
+    base = value(chosen)
+    for pool in pools:
+        pool = list(pool)
+        while pool:
+            gains = {e: value(chosen + [e]) for e in pool}
+            pick = max(pool, key=lambda e: (gains[e] - base, -e))
+            chosen.append(pick)
+            pool.remove(pick)
+            base = gains[pick]
+    return chosen
 
 
 def greedy_marginal(instance: Instance) -> Schedule:
     """At each step realize the element with the best marginal gain,
     ties broken by smallest element id."""
-    value = _cached_step_value(instance)
-    realized = []
-    remaining = list(instance.orderable)
-    order = []
-    while remaining:
-        base = value(realized)
-        gain, pick = max(
-            ((value(realized + [e]) - base, e) for e in remaining),
-            key=lambda t: (t[0], -t[1]),
-        )
-        order.append(pick)
-        realized.append(pick)
-        remaining.remove(pick)
+    order = _greedy(lambda s: step_value(instance, s), [instance.orderable])
     return _from_order(instance, order, "greedy-marginal")
 
 
@@ -53,20 +59,8 @@ def greedy_optimal_first(instance: Instance) -> Schedule:
     """Realize the support of one optimal subproblem solution first (ordered
     by marginal gain), then the rest by marginal gain."""
     support = _optimal_support(instance)
-    value = _cached_step_value(instance)
-    realized = []
-    order = []
-    for pool in (sorted(support), [e for e in instance.orderable if e not in support]):
-        pool = list(pool)
-        while pool:
-            base = value(realized)
-            gain, pick = max(
-                ((value(realized + [e]) - base, e) for e in pool),
-                key=lambda t: (t[0], -t[1]),
-            )
-            order.append(pick)
-            realized.append(pick)
-            pool.remove(pick)
+    rest = [e for e in instance.orderable if e not in support]
+    order = _greedy(lambda s: step_value(instance, s), [sorted(support), rest])
     return _from_order(instance, order, "greedy-first")
 
 
@@ -92,29 +86,32 @@ def _optimal_support(instance: Instance) -> set:
 def brute_force(instance: Instance) -> Schedule:
     """Evaluate every ordering; ties resolved by the lexicographically
     smallest realization order."""
-    m = instance.m
-    if m > BRUTE_FORCE_GUARD:
-        raise GuardError(f"m={m} exceeds brute-force guard {BRUTE_FORCE_GUARD}")
-    value = _cached_step_value(instance)
-    best_total = -math.inf
-    best_order = None
-    for order in itertools.permutations(instance.orderable):
+    if instance.m > BRUTE_FORCE_GUARD:
+        raise GuardError(f"m={instance.m} exceeds brute-force guard {BRUTE_FORCE_GUARD}")
+    order = _best_order(subset_values(instance), instance.m)[1]
+    return evaluate_schedule(instance, Permutation.from_order(order), "brute")
+
+
+def _best_order(table, m: int):
+    """(total, order) of the best ordering of range(m), where realizing the
+    bitmask S adds table[S]; the first best order in lexicographic order
+    wins unless a later one beats it by more than 1e-12."""
+    best_total, best_order = -math.inf, None
+    for order in itertools.permutations(range(m)):
         total = 0.0
-        realized = []
-        for e in order:
-            realized.append(e)
-            total += value(realized)
+        mask = 0
+        for i in order:
+            mask |= 1 << i
+            total += table[mask]
         if total > best_total + 1e-12:
-            best_total = total
-            best_order = order
-    return _from_order(instance, best_order, "brute")
+            best_total, best_order = total, order
+    return best_total, best_order
 
 
 def _from_order(instance: Instance, order, method) -> Schedule:
     index = {e: i for i, e in enumerate(instance.orderable)}
     p = Permutation.from_order([index[e] for e in order])
-    s = evaluate_schedule(instance, p, method=method)
-    return Schedule(s.permutation, s.step_values, s.total, method, order=s.order)
+    return evaluate_schedule(instance, p, method)
 
 
 # ---------------------------------------------------------------------------
@@ -152,19 +149,8 @@ def submodular_greedy(f: SetFunctionSpec, m: int | None = None) -> Schedule:
     """Greedy ordering by marginal gain; with no feasibility constraint the
     step-j value is simply f of the first j elements."""
     m = f.m if m is None else m
-    chosen = []
-    remaining = list(range(m))
-    while remaining:
-        base = f.value(chosen)
-        gain, pick = max(
-            ((f.value(chosen + [i]) - base, i) for i in remaining),
-            key=lambda t: (t[0], -t[1]),
-        )
-        chosen.append(pick)
-        remaining.remove(pick)
-    values = []
-    for j in range(1, m + 1):
-        values.append(f.value(chosen[:j]))
+    chosen = _greedy(f.value, [range(m)])
+    values = [f.value(chosen[:j]) for j in range(1, m + 1)]
     p = Permutation.from_order(chosen)
     return Schedule(p, tuple(values), sum(values), "greedy-marginal", order=tuple(chosen))
 
@@ -174,19 +160,8 @@ def brute_force_set_function(f: SetFunctionSpec) -> float:
     m = f.m
     if m > BRUTE_FORCE_GUARD:
         raise GuardError(f"m={m} exceeds brute-force guard {BRUTE_FORCE_GUARD}")
-    # precompute f on all subsets (bitmask) so each ordering is table lookups
-    table = [0.0] * (1 << m)
-    for mask in range(1 << m):
-        table[mask] = f.value([i for i in range(m) if mask >> i & 1])
-    best = -math.inf
-    for order in itertools.permutations(range(m)):
-        total = 0.0
-        mask = 0
-        for e in order:
-            mask |= 1 << e
-            total += table[mask]
-        best = max(best, total)
-    return best
+    table = [f.value([i for i in range(m) if mask >> i & 1]) for mask in range(1 << m)]
+    return _best_order(table, m)[0]
 
 
 def ratio_bound(m: int) -> float:

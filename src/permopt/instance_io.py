@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-from importlib import resources
 
 from .subproblems import FLOW, MATCHING, FlowInstance, Instance, MatchingInstance, make_instance
 
@@ -218,8 +217,3 @@ def bundled_instance(name: str, eps: float = 0.1) -> Instance:
     if name not in BUNDLED:
         raise ValidationError(f"unknown bundled instance {name!r}; have {sorted(BUNDLED)}")
     return BUNDLED[name](eps)
-
-
-def bundled_instance_text(name: str) -> str:
-    """Contents of the shipped JSON file (generated at eps = 0.1)."""
-    return resources.files("permopt.data").joinpath(f"{name}.json").read_text()

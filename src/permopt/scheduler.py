@@ -13,7 +13,7 @@ re-certified against the combinatorial oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import lp as lpmod
 from .lp import EQ, LinearConstraint, LpBuilder, solve as lp_solve
@@ -23,7 +23,7 @@ from .perms import (
     permutation_from_point,
     separate_permutahedron,
 )
-from .subproblems import Instance, emit_step, step_value
+from .subproblems import Instance, emit_step, step_value, subset_values
 
 # Two names for the one master program, kept so existing callers still work.
 EXTENDED = "extended"
@@ -152,42 +152,33 @@ def solve_schedule(instance: Instance, mode: str = EXTENDED, tol: float = VALUE_
 def _repair_subset_dp(instance: Instance) -> Schedule:
     """Exact optimum by dynamic programming over realized subsets.
 
-    best(S) = value(S) + max over e in S of best(S minus e); ties resolved
-    toward the smallest last element so the reconstructed order is
+    On the bitmask table of subset values, best[S] = value(S) + max over
+    e in S of best[S minus e], with best[empty set] = 0 (fixed elements give
+    the empty set a value, but no step realizes it). Bits are scanned in
+    ascending order and a later bit must win by more than 1e-12, so ties go
+    to the smallest last element and the reconstructed order is
     deterministic. Costs one oracle value per subset.
     """
-    from .subproblems import step_value as sv
-
-    elems = list(instance.orderable)
-    m = len(elems)
-    values = {}
-    best = {frozenset(): 0.0}
-    choice = {}
-    # iterate subsets by cardinality
-    subsets_by_size = [[] for _ in range(m + 1)]
-    for mask in range(1 << m):
-        subset = frozenset(elems[i] for i in range(m) if mask >> i & 1)
-        subsets_by_size[len(subset)].append(subset)
-    for size in range(1, m + 1):
-        for subset in subsets_by_size[size]:
-            values[subset] = sv(instance, subset)
-            pick, pick_val = None, -math.inf
-            for e in sorted(subset):
-                cand = best[subset - {e}]
+    m = instance.m
+    best = subset_values(instance)
+    best[0] = 0.0
+    last = [0] * len(best)
+    for mask in range(1, len(best)):
+        pick, pick_val = 0, -math.inf
+        for i in range(m):
+            if mask >> i & 1:
+                cand = best[mask ^ 1 << i]
                 if cand > pick_val + 1e-12:
-                    pick, pick_val = e, cand
-            best[subset] = values[subset] + pick_val
-            choice[subset] = pick
+                    pick, pick_val = i, cand
+        best[mask] += pick_val
+        last[mask] = pick
     order = []
-    subset = frozenset(elems)
-    while subset:
-        e = choice[subset]
-        order.append(e)
-        subset = subset - {e}
+    mask = len(best) - 1
+    while mask:
+        order.append(last[mask])
+        mask ^= 1 << last[mask]
     order.reverse()
-    index = {e: i for i, e in enumerate(elems)}
-    perm = Permutation.from_order([index[e] for e in order])
-    return evaluate_schedule(instance, perm)
+    return evaluate_schedule(instance, Permutation.from_order(order))
 
 
 def master_lp_value(instance: Instance, mode: str = EXTENDED) -> float:

@@ -18,6 +18,7 @@ MATCHING = "matching"
 FLOW = "flow"
 
 ENUMERATION_GUARD = 25
+SUBSET_GUARD = 20  # largest m whose 2^m subset-value table is built
 
 
 class InstanceError(Exception):
@@ -253,6 +254,17 @@ def step_value(instance: Instance, available) -> float:
     if instance.family == MATCHING:
         return max_matching_value(instance.matching, usable)
     return max_flow_value(instance.flow, usable)
+
+
+def subset_values(instance: Instance) -> list:
+    """step_value of every subset of the orderable elements, indexed by
+    bitmask: bit i of the index stands for instance.orderable[i]."""
+    m = instance.m
+    if m > SUBSET_GUARD:
+        raise InstanceError(f"m={m} exceeds subset-table guard {SUBSET_GUARD}")
+    elems = instance.orderable
+    return [step_value(instance, [elems[i] for i in range(m) if mask >> i & 1])
+            for mask in range(1 << m)]
 
 
 # ---------------------------------------------------------------------------

@@ -2,25 +2,26 @@ import json
 
 import pytest
 
-from permopt.cli import EXIT_OK, EXIT_VALIDATION, run
+from permopt import scheduler
+from permopt.cli import EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, run
 from permopt.instance_io import (
     ValidationError,
     bundled_instance,
-    bundled_instance_text,
     parse_instance,
     serialize_instance,
 )
+from permopt.lp import ITERATION_LIMIT, LpSolution
 
 
 class TestParseInstance:
     def test_bundled_g1(self):
-        inst = parse_instance(bundled_instance_text("g1"))
+        inst = parse_instance(serialize_instance(bundled_instance("g1")))
         assert inst.family == "matching"
         assert inst.m == 3
         assert inst == bundled_instance("g1")
 
     def test_bundled_d3(self):
-        inst = parse_instance(bundled_instance_text("d3"))
+        inst = parse_instance(serialize_instance(bundled_instance("d3")))
         assert inst.family == "flow"
         assert inst.m == 8
         assert len(inst.fixed) == 1
@@ -64,10 +65,6 @@ class TestParseInstance:
     def test_round_trip(self, name):
         inst = bundled_instance(name)
         assert parse_instance(serialize_instance(inst)) == inst
-
-    @pytest.mark.parametrize("name", ["g1", "g2", "d1", "d2", "d3"])
-    def test_shipped_files_match_builders(self, name):
-        assert parse_instance(bundled_instance_text(name)) == bundled_instance(name)
 
 
 class TestRun:
@@ -160,3 +157,10 @@ class TestRun:
         assert run(["solve", "--instance", "d1.json", "--mode", "cutting-plane"]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert report["methods"][0]["total"] == "5.900000000"
+
+    def test_master_lp_failure_exit_code(self, monkeypatch, capsys):
+        monkeypatch.setattr(scheduler, "lp_solve", lambda lp: LpSolution(ITERATION_LIMIT))
+        assert run(["solve", "--instance", "g1.json"]) == EXIT_SOLVER
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "solver failure" in captured.err

@@ -5,20 +5,29 @@ import pytest
 from conftest import random_flow_instance, random_matching_instance
 from permopt.baselines import brute_force
 from permopt.instance_io import bundled_instance
-from permopt.lp import OPTIMAL, solve
+from permopt import scheduler
+from permopt.lp import ITERATION_LIMIT, OPTIMAL, LpSolution, solve
 from permopt.perms import Permutation, all_permutations, birkhoff_extension
 from permopt.scheduler import (
     CUTTING_PLANE,
     EXTENDED,
     Schedule,
     SolveError,
+    _repair_subset_dp,
     build_master_lp,
     evaluate_schedule,
     master_lp_value,
     master_lp_value_fixed_y,
     solve_schedule,
 )
-from permopt.subproblems import MatchingInstance, make_instance
+from permopt.subproblems import (
+    FLOW,
+    FlowInstance,
+    InstanceError,
+    MatchingInstance,
+    make_instance,
+    step_value,
+)
 
 
 def order_to_perm(instance, order_ids):
@@ -152,3 +161,47 @@ class TestSolveSchedule:
         s = solve_schedule(inst)
         assert s.total == pytest.approx(221.0, abs=1e-6)
         assert s.certified
+
+    def test_master_lp_failure_raises(self, monkeypatch):
+        monkeypatch.setattr(scheduler, "lp_solve", lambda lp: LpSolution(ITERATION_LIMIT))
+        with pytest.raises(SolveError, match="iteration_limit"):
+            solve_schedule(bundled_instance("g1"))
+
+
+class TestRepairSubsetDp:
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_matches_brute_force(self, m):
+        rng = random.Random(9100 + m)
+        for inst in (random_matching_instance(rng, m), random_flow_instance(rng, m)):
+            assert _repair_subset_dp(inst).total == brute_force(inst).total
+
+    def test_fixed_s_t_arc(self):
+        # the fixed s-t arc gives every subset, the empty one included, a
+        # value of at least 2; the random generators never draw this case
+        data = FlowInstance(
+            arcs={0: (0, 1), 1: (0, 2), 2: (2, 1), 3: (2, 1)},
+            capacities={0: 2.0, 1: 3.0, 2: 1.0, 3: 4.0},
+            source=0,
+            sink=1,
+        )
+        inst = make_instance(FLOW, data, [0])
+        assert step_value(inst, ()) == 2.0
+        assert _repair_subset_dp(inst).total == brute_force(inst).total
+
+    @pytest.mark.parametrize(
+        "name,order",
+        [
+            ("g1", (1, 2, 0)),
+            ("g2", (3, 1, 2, 0)),
+            ("d1", (5, 4, 3)),
+            ("d2", (6, 4, 5, 3)),
+            ("d3", (8, 7, 6, 5, 4, 3, 2, 1)),
+        ],
+    )
+    def test_bundled_orders(self, name, order):
+        assert _repair_subset_dp(bundled_instance(name)).order == order
+
+    def test_size_guard(self):
+        inst = random_matching_instance(random.Random(3), 21)
+        with pytest.raises(InstanceError, match="guard"):
+            _repair_subset_dp(inst)

@@ -1,8 +1,10 @@
 import itertools
 import math
+import random
 
 import pytest
 
+from conftest import random_flow_instance
 from permopt.instance_io import bundled_instance
 from permopt.lp import OPTIMAL, LpBuilder, solve
 from permopt.subproblems import (
@@ -16,6 +18,7 @@ from permopt.subproblems import (
     max_flow_value,
     max_matching_value,
     step_value,
+    subset_values,
 )
 
 
@@ -82,6 +85,18 @@ class TestStepValue:
         inst = bundled_instance("d1")
         with pytest.raises(InstanceError):
             step_value(inst, {0})  # arc 0 is fixed
+
+
+class TestSubsetValues:
+    def test_matches_step_value_on_every_subset(self):
+        inst = random_flow_instance(random.Random(7), 5)
+        assert inst.fixed
+        table = subset_values(inst)
+        assert len(table) == 32
+        for mask in range(32):
+            subset = [e for i, e in enumerate(inst.orderable) if mask >> i & 1]
+            assert table[mask] == step_value(inst, subset)
+        assert table[0] == step_value(inst, ())
 
 
 def step_lp_value(instance: Instance, subset) -> float:
