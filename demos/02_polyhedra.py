@@ -4,8 +4,9 @@
    sets, and the linear system that pins the chain given the positions.
 2. The position polytope: prefix-sum separation vs the compact
    doubly-stochastic extension.
-3. A fractional master-LP optimum: the relaxation can sit strictly above
-   the best schedule, which is why certification and repair exist.
+3. A fractional master-LP optimum, its positions read off the chain
+   columns: the relaxation can sit strictly above the best schedule,
+   which is why certification and repair exist.
 
 Run: python3 demos/02_polyhedra.py
 """
@@ -15,7 +16,7 @@ import numpy as np
 import permopt as P
 from permopt.lp import LpBuilder, OPTIMAL, solve
 from permopt.perms import birkhoff_extension
-from permopt.scheduler import build_master_lp
+from permopt.scheduler import build_master_lp, chain_positions
 
 print("--- chain of an ordering ---")
 p = P.Permutation((2, 1, 3))
@@ -46,9 +47,9 @@ print(f"  separation and extension agree on {agree}/200 random points")
 
 print("\n--- the relaxation gap on g1 ---")
 inst = P.bundled_instance("g1")
-b, mv = build_master_lp(inst)
+b, h = build_master_lp(inst)
 sol = solve(b.build("max"))
-y = [round(float(sol.x[v]), 3) for v in mv.y]
+y = [round(float(v), 3) for v in chain_positions(h, sol.x)]
 print(f"  master LP optimum {sol.objective:.4f} at fractional positions y={y}")
 s = P.solve_schedule(inst)
 print(f"  best schedule total {s.total:.4f} (certified={s.certified}, repaired={s.repaired})")

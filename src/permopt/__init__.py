@@ -1,10 +1,10 @@
 """permopt: choose the order in which to realize a fixed set of elements so
 the cumulative optimal subproblem value over the steps is maximized.
 
-Exact solving goes through a master linear program built from the position
-polytope, a chain transformation, and per-step subproblem blocks; greedy
-baselines and a brute-force oracle are included for comparison and
-certification.
+Exact solving goes through a master linear program over the chain columns
+of the realized sets, whose positions range over the permutahedron, and
+per-step subproblem blocks; greedy baselines and a brute-force oracle are
+included for comparison and certification.
 """
 
 from .baselines import (

@@ -43,9 +43,9 @@ def _load_instance(path: str, epsilon: float | None) -> tuple[str, Instance]:
     return stem, parse_instance(text)
 
 
-def _run_method(instance: Instance, method: str, mode: str, tol: float) -> Schedule:
+def _run_method(instance: Instance, method: str, mode: str) -> Schedule:
     if method == "lp":
-        return solve_schedule(instance, mode=mode, tol=tol)
+        return solve_schedule(instance, mode=mode)
     if method == "greedy-marginal":
         return greedy_marginal(instance)
     if method == "greedy-first":
@@ -102,7 +102,6 @@ def run(argv) -> int:
                        help="kept for existing callers: both names build the one master LP")
         p.add_argument("--epsilon", type=float, default=None,
                        help="regenerate a bundled template with this gap value")
-        p.add_argument("--tol", type=float, default=1e-6)
 
     common(sub.add_parser("solve", help="run one method"), with_method=True)
     common(sub.add_parser("compare", help="run all methods"), with_method=False)
@@ -128,7 +127,7 @@ def run(argv) -> int:
     schedules = []
     try:
         for method in methods:
-            schedules.append(_run_method(instance, method, args.mode, args.tol))
+            schedules.append(_run_method(instance, method, args.mode))
     except (ValidationError, InstanceError, GuardError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -6,9 +6,11 @@ growing realized sets, one column per step. The polytope of relaxed
 position vectors (the permutahedron) is described three ways: an
 exponential family of sorted prefix-sum inequalities with a sorting-based
 separation routine, a compact doubly-stochastic extension, and implicitly
-by the chain transformation, whose last-column covering rows together
-with the position-sum equality imply every prefix-sum inequality. The
-master LP uses only the last; the other two serve as references.
+by the chain system alone. Column monotonicity, column cardinalities and
+[0, 1] bounds make the chain columns a unimodular image of the Birkhoff
+polytope (z[i][j] = h[i][j] - h[i][j-1]), so the positions
+y_i = m + 1 - sum_j h[i][j] range over the permutahedron exactly. The
+master LP uses only the chain system; the other two serve as references.
 """
 
 from __future__ import annotations
@@ -137,15 +139,13 @@ def separate_permutahedron(m: int, y, tolerance: float = 1e-7):
     )
 
 
-def chain_transform_constraints(m: int, y_vars, h_vars):
-    """Linear system tying position variables y to chain columns h.
+def chain_constraints(m: int, h_vars):
+    """Column monotonicity rows, then column cardinality equalities.
 
     h_vars[i][j] is the variable for element i in column j (0-indexed
     columns; the implicit all-zero column before step 1 is substituted out).
-    Emits, in order: column monotonicity, column cardinality equalities,
-    prefix covering inequalities, and [0,1] box bounds.
     """
-    if len(y_vars) != m or len(h_vars) != m or any(len(row) != m for row in h_vars):
+    if len(h_vars) != m or any(len(row) != m for row in h_vars):
         raise ValueError("variable-id arrays malformed")
     cons = []
     for i in range(m):
@@ -163,6 +163,15 @@ def chain_transform_constraints(m: int, y_vars, h_vars):
                 name=f"card[{j}]",
             )
         )
+    return cons
+
+
+def chain_transform_constraints(m: int, y_vars, h_vars):
+    """Linear system tying position variables y to chain columns h: the
+    rows of `chain_constraints`, prefix covering inequalities, [0,1] boxes."""
+    if len(y_vars) != m:
+        raise ValueError("variable-id arrays malformed")
+    cons = chain_constraints(m, h_vars)
     for j in range(m):
         for i in range(m):
             # sum_{k<=j} h[i][k] + y_i >= j + 2  (steps are 1-based)

@@ -1,13 +1,13 @@
 """Master LP assembly and exact schedule solving.
 
-The master program couples three blocks: the position-sum equality, the
-chain transformation tying positions to per-step availability columns,
-and one subproblem block per step. The chain system's covering rows and
-the position-sum row already confine the positions to the permutahedron,
-so no doubly-stochastic extension is added; prefix-sum separation only
-confirms this on each solve. Its optimum bounds the best cumulative
-schedule value; the ordering is read off the position variables and
-re-certified against the combinatorial oracles.
+The master program has the chain columns h (one 0/1-relaxed column per
+step, held to the chain rows of `perms.chain_constraints`) and one
+subproblem block per step reading its column as availability. The chain
+rows with [0, 1] bounds already confine the positions
+y_i = m + 1 - sum_j h[i][j] to the permutahedron, so the program carries
+no position variables. Its optimum bounds the best cumulative schedule
+value; the ordering is read off the positions and re-certified against
+the combinatorial oracles.
 """
 
 from __future__ import annotations
@@ -16,10 +16,11 @@ import math
 from dataclasses import dataclass
 
 from . import lp as lpmod
-from .lp import EQ, LinearConstraint, LpBuilder, solve as lp_solve
+from .lp import LpBuilder, solve as lp_solve
 from .perms import (
     Permutation,
-    chain_transform_constraints,
+    chain_constraints,
+    chain_from_permutation,
     permutation_from_point,
     separate_permutahedron,
 )
@@ -31,7 +32,6 @@ CUTTING_PLANE = "cutting-plane"
 MODES = (EXTENDED, CUTTING_PLANE)
 
 VALUE_TOL = 1e-6
-MAX_CUT_ROUNDS = 1000
 
 
 class SolveError(Exception):
@@ -59,13 +59,6 @@ class Schedule:
             raise ValueError(f"total {self.total} exceeds the LP bound {self.lp_bound}")
 
 
-@dataclass
-class MasterVars:
-    y: list
-    h: list  # h[i][j], 0-indexed columns
-    steps: list  # per-step dict element id -> var
-
-
 def evaluate_schedule(instance: Instance, p: Permutation, method="evaluated") -> Schedule:
     """Cumulative value of a fixed ordering, straight from the oracles."""
     order = [instance.orderable[i] for i in p.order()]
@@ -78,11 +71,10 @@ def evaluate_schedule(instance: Instance, p: Permutation, method="evaluated") ->
 
 
 def build_master_lp(instance: Instance, mode: str = EXTENDED):
-    """Assemble the master LP; returns (builder, MasterVars).
+    """Assemble the master LP; returns (builder, h).
 
-    Both mode names build the same program. The builder is returned rather
-    than a frozen program so the solve loop can append violated prefix-sum
-    cuts, should separation ever find one.
+    h[i][j] is the variable of orderable element i in chain column j
+    (0-indexed). Both mode names build the same program.
     """
     if mode not in MODES:
         raise SolveError(f"unknown mode {mode!r}")
@@ -90,43 +82,39 @@ def build_master_lp(instance: Instance, mode: str = EXTENDED):
     if m < 1:
         raise SolveError("instance has no orderable elements")
     b = LpBuilder()
-    y = [b.add_var(f"y[{i}]", 1.0, float(m)) for i in range(m)]
     h = [[b.add_var(f"h[{i},{j}]", 0.0, 1.0) for j in range(m)] for i in range(m)]
-    b.add(LinearConstraint({v: 1.0 for v in y}, EQ, float(math.comb(m + 1, 2)),
-                           name="position-sum"))
-    b.add_all(chain_transform_constraints(m, y, h))
-    steps = []
+    b.add_all(chain_constraints(m, h))
     for j in range(1, m + 1):
-        h_col = {e: h[i][j - 1] for i, e in enumerate(instance.orderable)}
-        steps.append(emit_step(instance, j, h_col, b))
-    return b, MasterVars(y, h, steps)
+        emit_step(instance, j, {e: h[i][j - 1] for i, e in enumerate(instance.orderable)}, b)
+    return b, h
 
 
-def _solve_with_cuts(builder, y_vars, m, tol=1e-7):
-    """Re-solve loop adding one most-violated prefix-sum cut per round."""
-    for _ in range(MAX_CUT_ROUNDS):
-        sol = lp_solve(builder.build("max"))
-        if sol.status != lpmod.OPTIMAL:
-            return sol
-        y = [sol.x[v] for v in y_vars]
-        cut = separate_permutahedron(m, y, tol)
-        if cut is None:
-            return sol
-        builder.add(LinearConstraint({y_vars[i]: c for i, c in cut.coefficients.items()},
-                                     cut.relation, cut.rhs, name=cut.name))
-    raise SolveError("cut generation did not converge")
+def chain_positions(h, x) -> list:
+    """Position of each element at the point x: m + 1 - sum_j x[h[i][j]]."""
+    return [len(h) + 1 - sum(x[v] for v in row) for row in h]
+
+
+def _solve_with_cuts(builder, h):
+    """Optimal master LP solution, or SolveError. Its positions must lie in
+    the permutahedron, as the chain rows guarantee; a violated prefix-sum
+    row is a numerical fault. The name is kept for the benchmark tracer
+    until ROADMAP item 4."""
+    sol = lp_solve(builder.build("max"))
+    if sol.status != lpmod.OPTIMAL:
+        raise SolveError(f"master LP status: {sol.status}")
+    cut = separate_permutahedron(len(h), chain_positions(h, sol.x))
+    if cut is not None:
+        raise SolveError(f"master LP positions violate {cut.name}")
+    return sol
 
 
 def _solve_master(instance: Instance, mode: str):
-    """Optimal master LP solution and its variables, or SolveError."""
-    builder, mv = build_master_lp(instance, mode)
-    sol = _solve_with_cuts(builder, mv.y, instance.m)
-    if sol.status != lpmod.OPTIMAL:
-        raise SolveError(f"master LP status: {sol.status}")
-    return sol, mv
+    """Optimal master LP solution and its chain variables, or SolveError."""
+    builder, h = build_master_lp(instance, mode)
+    return _solve_with_cuts(builder, h), h
 
 
-def solve_schedule(instance: Instance, mode: str = EXTENDED, tol: float = VALUE_TOL) -> Schedule:
+def solve_schedule(instance: Instance, mode: str = EXTENDED) -> Schedule:
     """Solve the master LP, extract the ordering, and certify it.
 
     The relaxation can sit strictly above the best schedule (per-step LP
@@ -135,11 +123,11 @@ def solve_schedule(instance: Instance, mode: str = EXTENDED, tol: float = VALUE_
     and integrality is repaired exactly by dynamic programming over
     realized subsets.
     """
-    sol, mv = _solve_master(instance, mode)
+    sol, h = _solve_master(instance, mode)
     bound = sol.objective
-    perm = permutation_from_point([sol.x[v] for v in mv.y])
+    perm = permutation_from_point(chain_positions(h, sol.x))
     sched = evaluate_schedule(instance, perm, method="lp")
-    if sched.total >= bound - tol:
+    if sched.total >= bound - VALUE_TOL:
         return Schedule(sched.permutation, sched.step_values, sched.total, "lp",
                         order=sched.order, lp_bound=bound, certified=True)
     best = _repair_subset_dp(instance)
@@ -187,13 +175,10 @@ def master_lp_value(instance: Instance, mode: str = EXTENDED) -> float:
 
 
 def master_lp_value_fixed_y(instance: Instance, p: Permutation) -> float:
-    """Master LP objective with the position variables pinned to a
-    permutation; used to check the per-step blocks decouple."""
-    builder, mv = build_master_lp(instance)
-    for i, v in enumerate(mv.y):
-        builder.lower[v] = float(p.positions[i])
-        builder.upper[v] = float(p.positions[i])
-    sol = lp_solve(builder.build("max"))
-    if sol.status != lpmod.OPTIMAL:
-        raise SolveError(f"fixed-y master LP status: {sol.status}")
-    return sol.objective
+    """Master LP objective with the chain columns pinned to a permutation's
+    chain; used to check the per-step blocks decouple."""
+    builder, h = build_master_lp(instance)
+    for row, bits in zip(h, chain_from_permutation(p).h):
+        for v, bit in zip(row, bits):
+            builder.lower[v] = builder.upper[v] = float(bit)
+    return _solve_with_cuts(builder, h).objective

@@ -33,8 +33,8 @@ class MatchingInstance:
 
     def __post_init__(self):
         for e, w in self.weights.items():
-            if w < 0:
-                raise InstanceError(f"edge {e} has negative weight {w}")
+            if not (math.isfinite(w) and w >= 0):
+                raise InstanceError(f"edge {e} has weight {w}, expected a finite number >= 0")
         for e, (u, v) in self.edges.items():
             if (u in self.left) == (v in self.left):
                 raise InstanceError(f"edge {e}=({u},{v}) does not cross the bipartition")
@@ -59,8 +59,8 @@ class FlowInstance:
         if self.source == self.sink:
             raise InstanceError("source equals sink")
         for a, c in self.capacities.items():
-            if c < 0:
-                raise InstanceError(f"arc {a} has negative capacity {c}")
+            if not c >= 0:  # also rejects NaN; inf stays allowed
+                raise InstanceError(f"arc {a} has capacity {c}, expected a number >= 0")
         # Every arc is built by step m, so fixed and orderable arcs both
         # count: an s-t path of uncapacitated arcs makes the last steps'
         # max flow unbounded, which no finite stand-in capacity represents.
@@ -312,7 +312,8 @@ def _emit_flow_step(instance, j, h_vars, builder):
     for a in sorted(data.arcs):
         cap = data.finite_cap(a)
         f[a] = builder.add_var(f"f{j}[{a}]", 0.0, cap)
-        if a in h_vars:
+        # a zero-capacity arc is already held at zero by its [0, 0] bound
+        if a in h_vars and cap > 0:
             builder.add(LinearConstraint({f[a]: 1.0, h_vars[a]: -cap}, LE, 0.0,
                                          name=f"avail{j}[{a}]"))
     for node in sorted(data.nodes):

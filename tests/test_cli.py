@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -59,6 +60,18 @@ class TestParseInstance:
             "sink": 2,
         }
         with pytest.raises(ValidationError, match="duplicate"):
+            parse_instance(json.dumps(doc))
+
+    @pytest.mark.parametrize("field,value", [("w", math.nan), ("w", math.inf), ("cap", math.nan)])
+    def test_non_finite_number_rejected(self, field, value):
+        # json.dumps writes NaN and Infinity, which json.loads reads back
+        if field == "w":
+            doc = {"family": "matching", "left": [1],
+                   "elements": [{"id": 0, "fixed": False, "u": 1, "v": 2, "w": value}]}
+        else:
+            doc = {"family": "flow", "source": 0, "sink": 1,
+                   "elements": [{"id": 0, "fixed": False, "tail": 0, "head": 1, "cap": value}]}
+        with pytest.raises(ValidationError):
             parse_instance(json.dumps(doc))
 
     @pytest.mark.parametrize("name", ["g1", "g2", "d1", "d2", "d3"])
@@ -140,6 +153,29 @@ class TestRun:
         report = json.loads(capsys.readouterr().out)
         # 6 - 2*eps
         assert report["methods"][0]["total"] == "5.600000000"
+
+    @pytest.mark.parametrize("name", ["g1", "d1"])
+    def test_nan_epsilon_rejected(self, name, capsys):
+        assert run(["compare", "--instance", f"{name}.json", "--epsilon", "nan"]) == EXIT_VALIDATION
+        assert "validation error" in capsys.readouterr().err
+
+    def test_tol_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["solve", "--instance", "g1.json", "--tol", "1.0"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+
+    def test_zero_capacity_arc(self, tmp_path, capsys):
+        doc = {"family": "flow", "source": 0, "sink": 1, "elements": [
+            {"id": 0, "fixed": False, "tail": 0, "head": 2, "cap": 0},
+            {"id": 1, "fixed": False, "tail": 2, "head": 1, "cap": 3},
+            {"id": 2, "fixed": False, "tail": 0, "head": 1, "cap": 1},
+        ]}
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(doc))
+        assert run(["compare", "--instance", str(path)]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert {m["total"] for m in report["methods"]} == {"3.000000000"}
 
     def test_epsilon_rejected_for_non_bundled(self, capsys):
         assert run(["solve", "--instance", "custom.json", "--epsilon", "0.2"]) == EXIT_VALIDATION

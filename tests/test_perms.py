@@ -4,12 +4,13 @@ import random
 import numpy as np
 import pytest
 
-from permopt.lp import EQ, LE, LpBuilder, OPTIMAL, solve
+from permopt.lp import EQ, LE, LinearConstraint, LpBuilder, OPTIMAL, solve
 from permopt.perms import (
     ChainMatrix,
     Permutation,
     all_permutations,
     birkhoff_extension,
+    chain_constraints,
     chain_from_permutation,
     chain_transform_constraints,
     permutation_from_point,
@@ -213,14 +214,33 @@ def membership_by_extension(m, point) -> bool:
     return solve(b.build("max")).status == OPTIMAL
 
 
+def membership_by_chain(m, point) -> bool:
+    """The chain rows alone, h in [0, 1], with sum_j h[i][j] = m + 1 - y_i:
+    the system the master LP relies on to hold its positions."""
+    b = LpBuilder()
+    h = [[b.add_var(f"h[{i},{j}]", 0.0, 1.0) for j in range(m)] for i in range(m)]
+    b.add_all(chain_constraints(m, h))
+    for i in range(m):
+        b.add(LinearConstraint({v: 1.0 for v in h[i]}, EQ, m + 1 - float(point[i])))
+    return solve(b.build("max")).status == OPTIMAL
+
+
 class TestMembershipAgreement:
     def test_separation_matches_extension(self):
         rng = np.random.default_rng(5)
-        for m in (2, 3, 4):
-            for k in range(60):
-                if k % 2 == 0:
+        prefix_only = 0  # outside points on the position-sum hyperplane
+        for m in (2, 3, 4, 5):
+            for k in range(90):
+                if k % 3 == 0:
                     point = rng.uniform(1.0, m, size=m)
-                else:
+                elif k % 3 == 1:
                     point = random_permutahedron_point(m, rng)
+                else:
+                    point = rng.uniform(1.0, m, size=m)
+                    point *= math.comb(m + 1, 2) / point.sum()
                 inside = separate_permutahedron(m, point, 1e-7) is None
                 assert inside == membership_by_extension(m, point)
+                assert inside == membership_by_chain(m, point)
+                if k % 3 == 2 and not inside:
+                    prefix_only += 1
+        assert prefix_only > 0

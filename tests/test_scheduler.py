@@ -7,7 +7,12 @@ from permopt.baselines import brute_force
 from permopt.instance_io import bundled_instance
 from permopt import scheduler
 from permopt.lp import ITERATION_LIMIT, OPTIMAL, LpSolution, solve
-from permopt.perms import Permutation, all_permutations, birkhoff_extension
+from permopt.perms import (
+    Permutation,
+    all_permutations,
+    birkhoff_extension,
+    chain_transform_constraints,
+)
 from permopt.scheduler import (
     CUTTING_PLANE,
     EXTENDED,
@@ -36,11 +41,15 @@ def order_to_perm(instance, order_ids):
 
 
 def birkhoff_master_value(instance):
-    """Optimum of the master LP with a doubly-stochastic z-block added on
-    the position variables: the reference formulation that the single
-    master program must match."""
-    builder, mv = build_master_lp(instance)
-    _, cons = birkhoff_extension(instance.m, mv.y, builder)
+    """Optimum of the master LP with position variables tied to its chain
+    columns by the chain transformation and held to a doubly-stochastic
+    z-block: the reference formulation that the chain-only master program
+    must match."""
+    builder, h = build_master_lp(instance)
+    m = instance.m
+    y = [builder.add_var(f"y[{i}]", 1.0, float(m)) for i in range(m)]
+    builder.add_all(chain_transform_constraints(m, y, h))
+    _, cons = birkhoff_extension(m, y, builder)
     builder.add_all(cons)
     sol = solve(builder.build("max"))
     assert sol.status == OPTIMAL
@@ -161,6 +170,11 @@ class TestSolveSchedule:
         s = solve_schedule(inst)
         assert s.total == pytest.approx(221.0, abs=1e-6)
         assert s.certified
+
+    def test_zero_capacity_arc(self):
+        data = FlowInstance({0: (0, 2), 1: (2, 1), 2: (0, 1)}, {0: 0.0, 1: 3.0, 2: 1.0}, 0, 1)
+        inst = make_instance(FLOW, data, [])
+        assert solve_schedule(inst).total == brute_force(inst).total
 
     def test_master_lp_failure_raises(self, monkeypatch):
         monkeypatch.setattr(scheduler, "lp_solve", lambda lp: LpSolution(ITERATION_LIMIT))

@@ -139,6 +139,16 @@ class TestEmitStep:
                 assert step_lp_value(inst, set(subset)) == pytest.approx(
                     step_value(inst, set(subset)), abs=1e-9)
 
+    def test_zero_capacity_arc(self):
+        # s->2 has capacity 0: its variable's [0, 0] bound holds it, and no
+        # availability row with a zero coefficient is emitted
+        data = FlowInstance({0: (0, 2), 1: (2, 1), 2: (0, 1)}, {0: 0.0, 1: 3.0, 2: 1.0}, 0, 1)
+        inst = make_instance("flow", data, [])
+        for r in range(inst.m + 1):
+            for subset in itertools.combinations(inst.orderable, r):
+                assert step_lp_value(inst, set(subset)) == pytest.approx(
+                    step_value(inst, set(subset)), abs=1e-9)
+
     def test_bad_step_index(self):
         inst = bundled_instance("g1")
         b = LpBuilder()
