@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from .perms import Permutation
 from .scheduler import Schedule, evaluate_schedule
 from .subproblems import (
-    FLOW,
     MATCHING,
     Instance,
     best_matching,
@@ -75,11 +74,9 @@ def _optimal_support(instance: Instance) -> set:
     if instance.family == MATCHING:
         _, edges = best_matching(instance.matching, everything)
         support = set(edges)
-    elif instance.family == FLOW:
+    else:
         _, flow = max_flow(instance.flow, everything)
         support = {a for a, f in flow.items() if f > 1e-9}
-    else:
-        raise ValueError(f"unknown family {instance.family!r}")
     return support & set(instance.orderable)
 
 
@@ -145,10 +142,10 @@ class SetFunctionSpec:
         return float(len(covered))
 
 
-def submodular_greedy(f: SetFunctionSpec, m: int | None = None) -> Schedule:
+def submodular_greedy(f: SetFunctionSpec) -> Schedule:
     """Greedy ordering by marginal gain; with no feasibility constraint the
     step-j value is simply f of the first j elements."""
-    m = f.m if m is None else m
+    m = f.m
     chosen = _greedy(f.value, [range(m)])
     values = [f.value(chosen[:j]) for j in range(1, m + 1)]
     p = Permutation.from_order(chosen)

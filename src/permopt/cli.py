@@ -38,7 +38,7 @@ def _load_instance(path: str, epsilon: float | None) -> tuple[str, Instance]:
         return stem, bundled_instance(stem)
     try:
         text = p.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     return stem, parse_instance(text)
 

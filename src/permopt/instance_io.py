@@ -26,6 +26,15 @@ class ValidationError(Exception):
     """Schema or invariant violation; message names the offending field."""
 
 
+def _is_int(x) -> bool:
+    # JSON true/false load as bool, which Python counts as an int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def parse_instance(text: str) -> Instance:
     try:
         doc = json.loads(text)
@@ -46,7 +55,7 @@ def parse_instance(text: str) -> Instance:
         if not isinstance(el, dict):
             raise ValidationError(f"elements[{k}]: expected an object")
         eid = el.get("id")
-        if not isinstance(eid, int):
+        if not _is_int(eid):
             raise ValidationError(f"elements[{k}].id: expected an integer")
         if eid in seen:
             raise ValidationError(f"elements[{k}].id: duplicate id {eid}")
@@ -70,16 +79,16 @@ def parse_instance(text: str) -> Instance:
 
 def _parse_matching(doc, elements) -> MatchingInstance:
     left = doc.get("left")
-    if not isinstance(left, list) or not all(isinstance(v, int) for v in left):
+    if not isinstance(left, list) or not all(_is_int(v) for v in left):
         raise ValidationError("left: expected a list of vertex ids")
     edges, weights = {}, {}
     for el in elements:
         eid = el["id"]
         for key in ("u", "v"):
-            if not isinstance(el.get(key), int):
+            if not _is_int(el.get(key)):
                 raise ValidationError(f"element {eid}.{key}: expected an integer vertex id")
         w = el.get("w")
-        if not isinstance(w, (int, float)):
+        if not _is_number(w):
             raise ValidationError(f"element {eid}.w: expected a number")
         if w < 0:
             raise ValidationError(f"element {eid}.w: negative weight {w}")
@@ -93,18 +102,18 @@ def _parse_matching(doc, elements) -> MatchingInstance:
 
 def _parse_flow(doc, elements) -> FlowInstance:
     for key in ("source", "sink"):
-        if not isinstance(doc.get(key), int):
+        if not _is_int(doc.get(key)):
             raise ValidationError(f"{key}: expected an integer node id")
     arcs, caps = {}, {}
     for el in elements:
         eid = el["id"]
         for key in ("tail", "head"):
-            if not isinstance(el.get(key), int):
+            if not _is_int(el.get(key)):
                 raise ValidationError(f"element {eid}.{key}: expected an integer node id")
         cap = el.get("cap")
         if cap == "inf":
             cap = math.inf
-        elif isinstance(cap, (int, float)):
+        elif _is_number(cap):
             if cap < 0:
                 raise ValidationError(f"element {eid}.cap: negative capacity {cap}")
             cap = float(cap)

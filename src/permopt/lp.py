@@ -1,13 +1,15 @@
 """Dense two-phase bounded-variable primal simplex solver.
 
-Small, self-contained, and deterministic. Variable bounds stay out of the
-tableau: the ratio test stops a variable at its upper bound and reflects
-its column instead of carrying one row per bounded variable. Pricing is
-Dantzig's rule (most negative reduced cost); after DEGENERATE_LIMIT
-degenerate steps in a row it falls back to Bland's rule, which cannot
-cycle, until a step makes progress. All the polyhedral machinery in this
-package (master programs, membership checks, uniqueness checks) goes
-through `solve`.
+Small, self-contained, and deterministic. Every program takes one path:
+standard form, one tableau, phase 1, phase 2, with both phases priced by
+the same routine. Variable bounds stay out of the tableau: the ratio test
+stops a variable at its upper bound and reflects its column instead of
+carrying one row per bounded variable, which also solves a program with
+no rows at all. Pricing is Dantzig's rule (most negative reduced cost);
+after DEGENERATE_LIMIT degenerate steps in a row it falls back to Bland's
+rule, which cannot cycle, until a step makes progress. All the polyhedral
+machinery in this package (master programs, membership checks, uniqueness
+checks) goes through `solve`.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 FEAS_TOL = 1e-9
+# smallest reduced cost or pivot-column entry the simplex treats as nonzero
+PIVOT_TOL = 1e-9
 VALUE_TOL = 1e-6
 MAX_ITER = 50_000
 # degenerate steps in a row before pricing falls back to Bland's rule
@@ -61,14 +65,6 @@ class LinearConstraint:
         if self.relation == GE:
             return lhs >= self.rhs - tol
         return abs(lhs - self.rhs) <= tol
-
-    def violation(self, x) -> float:
-        lhs = self.evaluate(x)
-        if self.relation == LE:
-            return max(0.0, lhs - self.rhs)
-        if self.relation == GE:
-            return max(0.0, self.rhs - lhs)
-        return abs(lhs - self.rhs)
 
 
 @dataclass
@@ -163,17 +159,19 @@ class LpBuilder:
 
 
 def _to_standard_form(lp: LinearProgram):
-    """Rewrite as max c.u, A u (<=,=) b, 0 <= u <= ub.
+    """Rewrite as max c.u, A u (rels) b, 0 <= u <= ub, with b >= 0.
 
-    Returns (c, rows, ub, const, sign, recover): `rows` holds one
-    (dense coefficients, relation, rhs) triple per constraint, `ub` the
-    upper bound of each standard column (math.inf when there is none),
-    `const` and `sign` map c.u back to the original objective, and
-    `recover` maps a standard-form point back to the original variables.
-    Each original variable is shifted by its finite lower bound (its upper
-    bound becomes ub - lb), reflected if only the upper bound is finite, or
-    split into a difference of nonnegatives if free. Bounds stay bounds:
-    the simplex handles them in its ratio test, not as rows.
+    Returns (c, A, b, rels, ub, const, sign, recover): `A` is the dense
+    constraint matrix with one row per constraint, `rels` the relation of
+    each row, `ub` the upper bound of each standard column (math.inf when
+    there is none), `const` and `sign` map c.u back to the original
+    objective, and `recover` maps a standard-form point back to the
+    original variables. Each original variable is shifted by its finite
+    lower bound (its upper bound becomes ub - lb), reflected if only the
+    upper bound is finite, or split into a difference of nonnegatives if
+    free. A row whose right side comes out negative is negated, with its
+    relation flipped. Bounds stay bounds: the simplex handles them in its
+    ratio test, not as rows.
     """
     cols = []  # per original var: ('shift', u_idx, lb) | ('reflect', u_idx, ub) | ('free', u+, u-)
     ub = []
@@ -206,22 +204,30 @@ def _to_standard_form(lp: LinearProgram):
             c[a] += coef
             c[b] -= coef
 
-    rows = []  # (dense coef array, relation in {LE, GE, EQ}, rhs)
-    for con in lp.constraints:
-        row = np.zeros(n_std)
-        rhs = con.rhs
+    A = np.zeros((len(lp.constraints), n_std))
+    rhs = np.zeros(len(lp.constraints))
+    rels = []
+    for r, con in enumerate(lp.constraints):
+        row = A[r]
+        right = con.rhs
         for var, coef in con.coefficients.items():
             kind, a, b = cols[var]
             if kind == "shift":
                 row[a] += coef
-                rhs -= coef * b
+                right -= coef * b
             elif kind == "reflect":
                 row[a] -= coef
-                rhs -= coef * b
+                right -= coef * b
             else:
                 row[a] += coef
                 row[b] -= coef
-        rows.append((row, con.relation, rhs))
+        rel = con.relation
+        if right < 0:
+            row *= -1.0
+            right = -right
+            rel = {LE: GE, GE: LE, EQ: EQ}[rel]
+        rhs[r] = right
+        rels.append(rel)
 
     def recover(u):
         x = np.zeros(lp.n)
@@ -235,7 +241,7 @@ def _to_standard_form(lp: LinearProgram):
                 x[i] = u[a] - u[b]
         return x
 
-    return c, rows, np.array(ub), const, sign, recover
+    return c, A, rhs, rels, np.array(ub), const, sign, recover
 
 
 def _pivot(T, basis, row, col):
@@ -259,32 +265,44 @@ def _reflect(T, col, ub, flipped):
     flipped[col] = not flipped[col]
 
 
-def _simplex(T, basis, ub, flipped, n_cols, start_iter, max_iter, pivot_tol=1e-9):
+def _price(T, basis, cost):
+    """Set the objective row to the reduced costs of maximizing cost.u at
+    the current basis: -cost, plus cost[b] times the row of each basic
+    column b, in row order."""
+    T[-1] = 0.0
+    T[-1, : len(cost)] = -cost
+    for r, bc in enumerate(basis):
+        if cost[bc] != 0.0:
+            T[-1] += cost[bc] * T[r]
+
+
+def _simplex(T, basis, ub, flipped, n_cols, start_iter, max_iter):
     """Bounded-variable primal simplex on tableau T (last row = objective,
     last col = rhs), every nonbasic column at 0 after reflection.
 
     The objective row holds reduced costs; columns below n_cols whose
-    reduced cost is < -tol and whose upper bound is positive may enter.
-    Dantzig pricing picks the most negative reduced cost (smallest index on
-    ties); after DEGENERATE_LIMIT degenerate steps in a row it falls back
-    to Bland's rule (smallest eligible index) until a step makes progress.
-    The ratio test stops at the first of: a basic variable reaching 0, a
-    basic variable reaching its upper bound (pivot, then reflect the
-    leaving column), or the entering variable reaching its own upper bound
-    (reflect it, no basis change). Ties between rows go to the smallest
-    basic index. Returns (status, iterations used); an iteration is a pivot
-    or a bound flip.
+    reduced cost is < -PIVOT_TOL and whose upper bound is positive may
+    enter. Dantzig pricing picks the most negative reduced cost (smallest
+    index on ties); after DEGENERATE_LIMIT degenerate steps in a row it
+    falls back to Bland's rule (smallest eligible index) until a step makes
+    progress. The ratio test stops at the first of: a basic variable
+    reaching 0, a basic variable reaching its upper bound (pivot, then
+    reflect the leaving column), or the entering variable reaching its own
+    upper bound (reflect it, no basis change; with no upper bound and no
+    blocking row the program is unbounded). Ties between rows go to the
+    smallest basic index. Returns (status, iterations used); an iteration
+    is a pivot or a bound flip.
     """
     it = start_iter
     m_rows = T.shape[0] - 1
-    basis_arr = np.array(basis)
+    basis_arr = np.array(basis, dtype=int)
     can_enter = ub[:n_cols] > 0.0
     degenerate = 0
     while True:
         if it >= max_iter:
             return ITERATION_LIMIT, it
         reduced = T[-1, :n_cols]
-        eligible = (reduced < -pivot_tol) & can_enter
+        eligible = (reduced < -PIVOT_TOL) & can_enter
         if not eligible.any():
             return OPTIMAL, it
         if degenerate < DEGENERATE_LIMIT:
@@ -294,8 +312,8 @@ def _simplex(T, basis, ub, flipped, n_cols, start_iter, max_iter, pivot_tol=1e-9
         col = T[:m_rows, enter]
         rhs = T[:m_rows, -1]
         ub_basic = ub[basis_arr]
-        down = (col > pivot_tol).nonzero()[0]
-        up = ((col < -pivot_tol) & (ub_basic < math.inf)).nonzero()[0]
+        down = (col > PIVOT_TOL).nonzero()[0]
+        up = ((col < -PIVOT_TOL) & (ub_basic < math.inf)).nonzero()[0]
         ratios = np.maximum(
             np.concatenate((rhs[down] / col[down], (ub_basic[up] - rhs[up]) / -col[up])), 0.0
         )
@@ -314,114 +332,67 @@ def _simplex(T, basis, ub, flipped, n_cols, start_iter, max_iter, pivot_tol=1e-9
             basis_arr[row] = enter
             if cand[pick] >= down.size:  # it left at its upper bound
                 _reflect(T, leaving, ub, flipped)
-            degenerate = degenerate + 1 if step <= pivot_tol else 0
+            degenerate = degenerate + 1 if step <= PIVOT_TOL else 0
         it += 1
 
 
-def solve(lp: LinearProgram, feas_tol=FEAS_TOL, max_iter=MAX_ITER) -> LpSolution:
-    """Two-phase bounded-variable primal simplex. Deterministic for a fixed input."""
-    c, rows, ub_std, const, sign, recover = _to_standard_form(lp)
-    n_std = len(c)
-    m_rows = len(rows)
+def solve(lp: LinearProgram, max_iter=MAX_ITER) -> LpSolution:
+    """Two-phase bounded-variable primal simplex. Deterministic for a fixed input.
 
-    if m_rows == 0:
-        # Only bounds: each variable sits at the bound its cost points to.
-        u = np.zeros(n_std)
-        up = c > feas_tol
-        if np.any(ub_std[up] == math.inf):
-            return LpSolution(UNBOUNDED)
-        u[up] = ub_std[up]
-        x = recover(u)
-        obj = float(np.dot(c, u) + const) * sign
-        return LpSolution(OPTIMAL, obj, x)
-
-    n_slack = sum(1 for _, rel, _ in rows if rel != EQ)
-    # artificials: one per >= or = row, plus per <= row with no slack start
-    A = np.zeros((m_rows, n_std))
-    b = np.zeros(m_rows)
-    rels = []
-    for r, (row, rel, rhs) in enumerate(rows):
-        if rhs < 0:
-            row = -row
-            rhs = -rhs
-            rel = {LE: GE, GE: LE, EQ: EQ}[rel]
-        A[r] = row
-        b[r] = rhs
-        rels.append(rel)
-
-    slack_of = {}
-    k = 0
-    for r, rel in enumerate(rels):
-        if rel != EQ:
-            slack_of[r] = n_std + k
-            k += 1
-    art_rows = [r for r, rel in enumerate(rels) if rel != LE]
-    n_art = len(art_rows)
-    total = n_std + n_slack + n_art
-    ub = np.concatenate((ub_std, np.full(n_slack + n_art, math.inf)))
+    One path for every program: standard form, then a tableau with one
+    slack per `<=`/`>=` row and one artificial per `>=`/`=` row (in row
+    order), then phase 1 (maximize minus the sum of the artificials), then
+    phase 2 on the reflected costs. A program with no rows takes the same
+    path; its phase 2 flips each variable whose cost points up to its bound.
+    """
+    c, A, b, rels, ub_std, const, sign, recover = _to_standard_form(lp)
+    m_rows, n_std = A.shape
+    n_slack = sum(rel != EQ for rel in rels)
+    first_art = n_std + n_slack
+    total = first_art + sum(rel != LE for rel in rels)
+    ub = np.concatenate((ub_std, np.full(total - n_std, math.inf)))
     flipped = np.zeros(total, dtype=bool)
 
     T = np.zeros((m_rows + 1, total + 1))
     T[:m_rows, :n_std] = A
     T[:m_rows, -1] = b
     basis = [0] * m_rows
-    ai = 0
+    slack, art = n_std, first_art
     for r, rel in enumerate(rels):
-        if rel == LE:
-            T[r, slack_of[r]] = 1.0
-            basis[r] = slack_of[r]
-        elif rel == GE:
-            T[r, slack_of[r]] = -1.0
-            T[r, n_std + n_slack + ai] = 1.0
-            basis[r] = n_std + n_slack + ai
-            ai += 1
-        else:
-            T[r, n_std + n_slack + ai] = 1.0
-            basis[r] = n_std + n_slack + ai
-            ai += 1
+        if rel != EQ:
+            T[r, slack] = 1.0 if rel == LE else -1.0
+            basis[r] = slack
+            slack += 1
+        if rel != LE:
+            T[r, art] = 1.0
+            basis[r] = art
+            art += 1
 
-    iters = 0
-    if n_art > 0:
-        # phase 1: maximize -sum(artificials); price out basic artificials
-        for r in range(m_rows):
-            if basis[r] >= n_std + n_slack:
-                T[-1, : total] -= T[r, :total]
-                T[-1, -1] -= T[r, -1]
-        T[-1, n_std + n_slack : total] = 0.0
-        status, iters = _simplex(T, basis, ub, flipped, total, 0, max_iter)
-        if status == ITERATION_LIMIT:
-            return LpSolution(ITERATION_LIMIT, iterations=iters)
-        if -T[-1, -1] > 1e-7:
-            return LpSolution(INFEASIBLE, iterations=iters)
-        # drive remaining artificials out of the basis
-        for r in range(m_rows):
-            if basis[r] >= n_std + n_slack:
-                piv = -1
-                for j in range(n_std + n_slack):
-                    if abs(T[r, j]) > 1e-9:
-                        piv = j
-                        break
-                if piv >= 0:
-                    _pivot(T, basis, r, piv)
-                # else: redundant row, artificial stays basic at value 0
-        T[:, n_std + n_slack : total] = 0.0
-
-    # phase 2 objective row: reduced costs of the reflected columns
-    # relative to the current basis
+    # phase 1: maximize -sum(artificials)
     cost = np.zeros(total)
-    cost[:n_std] = np.where(flipped[:n_std], -c, c)
-    T[-1, :] = 0.0
-    T[-1, :total] = -cost
-    for r in range(m_rows):
-        bc = basis[r]
-        if cost[bc] != 0.0:
-            T[-1, : total] += cost[bc] * T[r, :total]
-            T[-1, -1] += cost[bc] * T[r, -1]
-    status, iters = _simplex(T, basis, ub, flipped, n_std + n_slack, iters, max_iter)
+    cost[first_art:] = -1.0
+    _price(T, basis, cost)
+    status, iters = _simplex(T, basis, ub, flipped, total, 0, max_iter)
     if status == ITERATION_LIMIT:
         return LpSolution(ITERATION_LIMIT, iterations=iters)
-    if status == UNBOUNDED:
-        return LpSolution(UNBOUNDED, iterations=iters)
+    if -T[-1, -1] > 1e-7:
+        return LpSolution(INFEASIBLE, iterations=iters)
+    # drive remaining artificials out of the basis; an artificial with no
+    # pivot in its row marks a redundant row and stays basic at value 0
+    for r in range(m_rows):
+        if basis[r] >= first_art:
+            piv = (np.abs(T[r, :first_art]) > PIVOT_TOL).nonzero()[0]
+            if piv.size:
+                _pivot(T, basis, r, int(piv[0]))
+    T[:, first_art:total] = 0.0
+
+    # phase 2: reduced costs of the reflected columns
+    cost = np.zeros(total)
+    cost[:n_std] = np.where(flipped[:n_std], -c, c)
+    _price(T, basis, cost)
+    status, iters = _simplex(T, basis, ub, flipped, first_art, iters, max_iter)
+    if status != OPTIMAL:
+        return LpSolution(status, iterations=iters)
 
     u = np.zeros(total)
     u[basis] = T[:m_rows, -1]

@@ -8,12 +8,18 @@ y_i = m + 1 - sum_j h[i][j] to the permutahedron, so the program carries
 no position variables. Its optimum bounds the best cumulative schedule
 value; the ordering is read off the positions and re-certified against
 the combinatorial oracles.
+
+The simplex works to absolute tolerances, so the master is solved on a
+copy of the instance in units of the power of two nearest its largest
+finite weight or capacity, and its bound is multiplied back. Dividing by a
+power of two is exact, and certification compares in the same units, so
+an instance's magnitude does not change its answer.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import lp as lpmod
 from .lp import LpBuilder, solve as lp_solve
@@ -24,7 +30,7 @@ from .perms import (
     permutation_from_point,
     separate_permutahedron,
 )
-from .subproblems import Instance, emit_step, step_value, subset_values
+from .subproblems import MATCHING, Instance, emit_step, step_value, subset_values
 
 # Two names for the one master program, kept so existing callers still work.
 EXTENDED = "extended"
@@ -53,9 +59,10 @@ class Schedule:
         if abs(self.total - sum(self.step_values)) > 1e-9 * max(1.0, abs(self.total)):
             raise ValueError(f"total {self.total} is not the sum of the step values")
         for a, b in zip(self.step_values, self.step_values[1:]):
-            if b < a - 1e-9:
+            if b < a - 1e-9 * max(1.0, abs(a)):
                 raise ValueError("per-step values must be nondecreasing")
-        if self.lp_bound is not None and self.total > self.lp_bound + VALUE_TOL:
+        bound = self.lp_bound
+        if bound is not None and self.total > bound + VALUE_TOL * max(1.0, abs(bound)):
             raise ValueError(f"total {self.total} exceeds the LP bound {self.lp_bound}")
 
 
@@ -79,8 +86,6 @@ def build_master_lp(instance: Instance, mode: str = EXTENDED):
     if mode not in MODES:
         raise SolveError(f"unknown mode {mode!r}")
     m = instance.m
-    if m < 1:
-        raise SolveError("instance has no orderable elements")
     b = LpBuilder()
     h = [[b.add_var(f"h[{i},{j}]", 0.0, 1.0) for j in range(m)] for i in range(m)]
     b.add_all(chain_constraints(m, h))
@@ -108,10 +113,28 @@ def _solve_with_cuts(builder, h):
     return sol
 
 
+def _unit_scaled(instance: Instance):
+    """(copy of the instance with every finite weight or capacity divided by
+    scale, scale), where scale is the power of two nearest the largest one."""
+    data = instance.matching if instance.family == MATCHING else instance.flow
+    values = data.weights if instance.family == MATCHING else data.capacities
+    top = max((v for v in values.values() if math.isfinite(v)), default=0.0)
+    if top == 0.0:
+        return instance, 1.0
+    scale = 2.0 ** min(round(math.log2(top)), 1023)  # 2.0 ** 1024 overflows
+    scaled = {e: v / scale for e, v in values.items()}
+    if instance.family == MATCHING:
+        return replace(instance, matching=replace(data, weights=scaled)), scale
+    return replace(instance, flow=replace(data, capacities=scaled)), scale
+
+
 def _solve_master(instance: Instance, mode: str):
-    """Optimal master LP solution and its chain variables, or SolveError."""
-    builder, h = build_master_lp(instance, mode)
-    return _solve_with_cuts(builder, h), h
+    """(master LP bound, positions at its optimum, unit scale), or
+    SolveError; the program is built on the unit-scaled instance."""
+    scaled, scale = _unit_scaled(instance)
+    builder, h = build_master_lp(scaled, mode)
+    sol = _solve_with_cuts(builder, h)
+    return sol.objective * scale, chain_positions(h, sol.x), scale
 
 
 def solve_schedule(instance: Instance, mode: str = EXTENDED) -> Schedule:
@@ -123,11 +146,9 @@ def solve_schedule(instance: Instance, mode: str = EXTENDED) -> Schedule:
     and integrality is repaired exactly by dynamic programming over
     realized subsets.
     """
-    sol, h = _solve_master(instance, mode)
-    bound = sol.objective
-    perm = permutation_from_point(chain_positions(h, sol.x))
-    sched = evaluate_schedule(instance, perm, method="lp")
-    if sched.total >= bound - VALUE_TOL:
+    bound, positions, scale = _solve_master(instance, mode)
+    sched = evaluate_schedule(instance, permutation_from_point(positions), method="lp")
+    if sched.total >= bound - VALUE_TOL * scale:
         return Schedule(sched.permutation, sched.step_values, sched.total, "lp",
                         order=sched.order, lp_bound=bound, certified=True)
     best = _repair_subset_dp(instance)
@@ -171,7 +192,7 @@ def _repair_subset_dp(instance: Instance) -> Schedule:
 
 def master_lp_value(instance: Instance, mode: str = EXTENDED) -> float:
     """Objective of the master LP relaxation (no extraction)."""
-    return _solve_master(instance, mode)[0].objective
+    return _solve_master(instance, mode)[0]
 
 
 def master_lp_value_fixed_y(instance: Instance, p: Permutation) -> float:

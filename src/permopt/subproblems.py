@@ -39,14 +39,6 @@ class MatchingInstance:
             if (u in self.left) == (v in self.left):
                 raise InstanceError(f"edge {e}=({u},{v}) does not cross the bipartition")
 
-    @property
-    def vertices(self):
-        verts = set()
-        for u, v in self.edges.values():
-            verts.add(u)
-            verts.add(v)
-        return verts
-
 
 @dataclass(frozen=True)
 class FlowInstance:
@@ -282,9 +274,7 @@ def emit_step(instance: Instance, j: int, h_vars, builder):
         raise InstanceError(f"step {j} out of range")
     if instance.family == MATCHING:
         return _emit_matching_step(instance, j, h_vars, builder)
-    if instance.family == FLOW:
-        return _emit_flow_step(instance, j, h_vars, builder)
-    raise InstanceError(f"unknown family {instance.family!r}")
+    return _emit_flow_step(instance, j, h_vars, builder)
 
 
 def _emit_matching_step(instance, j, h_vars, builder):

@@ -74,6 +74,28 @@ class TestParseInstance:
         with pytest.raises(ValidationError):
             parse_instance(json.dumps(doc))
 
+    @pytest.mark.parametrize("family,field", [
+        ("matching", "id"), ("matching", "u"), ("matching", "v"), ("matching", "w"),
+        ("matching", "left"), ("flow", "id"), ("flow", "tail"), ("flow", "head"),
+        ("flow", "cap"), ("flow", "source"), ("flow", "sink"),
+    ])
+    def test_boolean_rejected_as_number(self, family, field):
+        # JSON true loads as a bool, which Python also counts as an int
+        if family == "matching":
+            doc = {"family": "matching", "left": [1],
+                   "elements": [{"id": 0, "fixed": False, "u": 1, "v": 2, "w": 1}]}
+        else:
+            doc = {"family": "flow", "source": 0, "sink": 1,
+                   "elements": [{"id": 0, "fixed": False, "tail": 0, "head": 1, "cap": 1}]}
+        if field == "left":
+            doc["left"] = [True]
+        elif field in ("source", "sink"):
+            doc[field] = True
+        else:
+            doc["elements"][0][field] = True
+        with pytest.raises(ValidationError, match=rf"\b{field}:"):
+            parse_instance(json.dumps(doc))
+
     @pytest.mark.parametrize("name", ["g1", "g2", "d1", "d2", "d3"])
     def test_round_trip(self, name):
         inst = bundled_instance(name)
@@ -142,6 +164,25 @@ class TestRun:
         path.write_text(json.dumps(doc))
         assert run(["solve", "--instance", str(path)]) == EXIT_VALIDATION
         assert "unbounded" in capsys.readouterr().err
+
+    def test_undecodable_file_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert run(["compare", "--instance", str(path)]) == EXIT_VALIDATION
+        assert "validation error" in capsys.readouterr().err
+
+    def test_no_orderable_element(self, tmp_path, capsys):
+        # every arc fixed: validation accepts it, so every method solves it
+        doc = {"family": "flow", "source": 0, "sink": 1, "elements": [
+            {"id": 0, "fixed": True, "tail": 0, "head": 2, "cap": 3},
+            {"id": 1, "fixed": True, "tail": 2, "head": 1, "cap": 2},
+        ]}
+        path = tmp_path / "fixed.json"
+        path.write_text(json.dumps(doc))
+        assert run(["compare", "--instance", str(path)]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert len(report["methods"]) == 4
+        assert {m["total"] for m in report["methods"]} == {"0.000000000"}
 
     def test_missing_file_exit_code(self, capsys):
         assert run(["solve", "--instance", "nope.json"]) == EXIT_VALIDATION

@@ -235,6 +235,17 @@ def test_bounds_only_maximum_with_an_infinite_upper_bound_is_unbounded():
     assert sol.x == pytest.approx([1.0, 0.0], abs=1e-12)
 
 
+def test_bounds_only_program_counts_its_bound_flips(simplex_events):
+    # a program with no rows takes the general path: each variable whose
+    # cost points to a finite upper bound flips there, one iteration each
+    lp = LinearProgram(3, [0.0, 0.0, -1.0], [1.0, 2.0, 4.0], [1.0, 3.0, -1.0], "max")
+    sol = solve(lp)
+    assert sol.status == OPTIMAL
+    assert sol.x == pytest.approx([1.0, 2.0, -1.0], abs=1e-12)
+    assert sol.iterations == 2
+    assert simplex_events == [("reflect", 1), ("reflect", 0)]
+
+
 def beale_lp(x2_bound_as_row):
     """Beale's cycling example: max 3/4 x0 - 20 x1 + 1/2 x2 - 6 x3 s.t.
     1/4 x0 - 8 x1 - x2 + 9 x3 <= 0, 1/2 x0 - 12 x1 - 1/2 x2 + 3 x3 <= 0,

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -33,6 +34,18 @@ from permopt.subproblems import (
     make_instance,
     step_value,
 )
+
+
+def rescaled(instance, scale, rng):
+    """The instance with each weight or capacity v replaced by
+    (v + a uniform fraction) * scale."""
+    if instance.family == "matching":
+        data = instance.matching
+        weights = {e: (w + rng.random()) * scale for e, w in data.weights.items()}
+        return replace(instance, matching=replace(data, weights=weights))
+    data = instance.flow
+    caps = {a: (c + rng.random()) * scale for a, c in data.capacities.items()}
+    return replace(instance, flow=replace(data, capacities=caps))
 
 
 def order_to_perm(instance, order_ids):
@@ -175,6 +188,30 @@ class TestSolveSchedule:
         data = FlowInstance({0: (0, 2), 1: (2, 1), 2: (0, 1)}, {0: 0.0, 1: 3.0, 2: 1.0}, 0, 1)
         inst = make_instance(FLOW, data, [])
         assert solve_schedule(inst).total == brute_force(inst).total
+
+    @pytest.mark.parametrize("scale", [1e-9, 1e-6, 1e6, 1e12])
+    def test_magnitude_keeps_the_optimum(self, scale):
+        # the simplex works to absolute tolerances; weights and capacities
+        # far from 1 must still give a certified optimum, never a wrong
+        # total or an error
+        for seed in range(6):
+            for make in (random_matching_instance, random_flow_instance):
+                inst = rescaled(make(random.Random(seed), 6), scale, random.Random(seed))
+                s = solve_schedule(inst)
+                assert s.certified
+                assert s.total == pytest.approx(brute_force(inst).total, rel=1e-9, abs=0.0)
+
+    def test_largest_finite_weight(self):
+        # the power of two nearest 1.7e308 is 2.0 ** 1024, which overflows
+        data = MatchingInstance({0: (0, 1)}, {0: 1.7e308}, frozenset({0}))
+        s = solve_schedule(make_instance("matching", data, []))
+        assert (s.total, s.lp_bound, s.certified) == (1.7e308, 1.7e308, True)
+
+    def test_no_orderable_element(self):
+        data = FlowInstance({0: (0, 2), 1: (2, 1)}, {0: 3.0, 1: 2.0}, 0, 1)
+        s = solve_schedule(make_instance(FLOW, data, [0, 1]))
+        assert (s.order, s.step_values, s.total) == ((), (), 0.0)
+        assert (s.lp_bound, s.certified, s.repaired) == (0.0, True, False)
 
     def test_master_lp_failure_raises(self, monkeypatch):
         monkeypatch.setattr(scheduler, "lp_solve", lambda lp: LpSolution(ITERATION_LIMIT))
