@@ -50,8 +50,6 @@ from .subproblems import (
     MatchingInstance,
     emit_step,
     make_instance,
-    max_flow_value,
-    max_matching_value,
     step_value,
 )
 

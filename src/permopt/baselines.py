@@ -15,14 +15,7 @@ from dataclasses import dataclass
 
 from .perms import Permutation
 from .scheduler import Schedule, evaluate_schedule
-from .subproblems import (
-    MATCHING,
-    Instance,
-    best_matching,
-    max_flow,
-    step_value,
-    subset_values,
-)
+from .subproblems import Instance, step_value, subset_values
 
 BRUTE_FORCE_GUARD = 9
 
@@ -55,29 +48,13 @@ def greedy_marginal(instance: Instance) -> Schedule:
 
 
 def greedy_optimal_first(instance: Instance) -> Schedule:
-    """Realize the support of one optimal subproblem solution first (ordered
-    by marginal gain), then the rest by marginal gain."""
-    support = _optimal_support(instance)
+    """Realize the orderable part of one optimal full-availability solution
+    (`support` of the family) first, ordered by marginal gain, then the rest
+    by marginal gain."""
+    support = instance.data.support(instance.data.elements) & set(instance.orderable)
     rest = [e for e in instance.orderable if e not in support]
     order = _greedy(lambda s: step_value(instance, s), [sorted(support), rest])
     return _from_order(instance, order, "greedy-first")
-
-
-def _optimal_support(instance: Instance) -> set:
-    """Orderable elements used by one optimal full-availability solution.
-
-    Matchings: enumerated optimum, lexicographically smallest edge set among
-    ties. Flows: arcs carrying positive flow in the deterministic
-    augmenting-path run.
-    """
-    everything = set(instance.orderable) | set(instance.fixed)
-    if instance.family == MATCHING:
-        _, edges = best_matching(instance.matching, everything)
-        support = set(edges)
-    else:
-        _, flow = max_flow(instance.flow, everything)
-        support = {a for a, f in flow.items() if f > 1e-9}
-    return support & set(instance.orderable)
 
 
 def brute_force(instance: Instance) -> Schedule:

@@ -12,7 +12,8 @@ import json
 import sys
 from pathlib import Path
 
-from .baselines import GuardError, brute_force, greedy_marginal, greedy_optimal_first
+from .baselines import (BRUTE_FORCE_GUARD, GuardError, brute_force, greedy_marginal,
+                        greedy_optimal_first)
 from .instance_io import BUNDLED, ValidationError, bundled_instance, parse_instance
 from .lp import LpError
 from .scheduler import EXTENDED, MODES, Schedule, SolveError, solve_schedule
@@ -122,7 +123,7 @@ def run(argv) -> int:
         return EXIT_OK
 
     methods = [args.method] if args.command == "solve" else list(METHODS)
-    if args.command == "compare" and instance.m > 9:
+    if args.command == "compare" and instance.m > BRUTE_FORCE_GUARD:
         methods.remove("brute")
     schedules = []
     try:

@@ -70,7 +70,7 @@ def parse_instance(text: str) -> Instance:
             data = _parse_matching(doc, elements)
         else:
             data = _parse_flow(doc, elements)
-        return make_instance(family, data, fixed_ids)
+        return make_instance(data, fixed_ids)
     except ValidationError:
         raise
     except Exception as exc:
@@ -125,9 +125,8 @@ def _parse_flow(doc, elements) -> FlowInstance:
 
 
 def serialize_instance(instance: Instance) -> str:
-    elements = []
+    elements, data = [], instance.data
     if instance.family == MATCHING:
-        data = instance.matching
         for eid in sorted(data.edges):
             u, v = data.edges[eid]
             elements.append(
@@ -136,7 +135,6 @@ def serialize_instance(instance: Instance) -> str:
             )
         doc = {"family": MATCHING, "elements": elements, "left": sorted(data.left)}
     else:
-        data = instance.flow
         for eid in sorted(data.arcs):
             t, h = data.arcs[eid]
             cap = data.capacities[eid]
@@ -160,7 +158,7 @@ def build_g1(eps: float = 0.1) -> Instance:
         weights={0: 1.0, 1: 2.0 - eps, 2: 1.0},
         left=frozenset({1, 3}),
     )
-    return make_instance(MATCHING, data, [])
+    return make_instance(data, [])
 
 
 def build_g2(eps: float = 0.1) -> Instance:
@@ -170,7 +168,7 @@ def build_g2(eps: float = 0.1) -> Instance:
         weights={0: 1.0 + eps, 1: 1.0, 2: eps, 3: 1.0},
         left=frozenset({1, 3}),
     )
-    return make_instance(MATCHING, data, [])
+    return make_instance(data, [])
 
 
 def build_d1(eps: float = 0.1) -> Instance:
@@ -183,7 +181,7 @@ def build_d1(eps: float = 0.1) -> Instance:
         source=5,
         sink=6,
     )
-    return make_instance(FLOW, data, [0, 1, 2, 6, 7])
+    return make_instance(data, [0, 1, 2, 6, 7])
 
 
 def build_d2(eps: float = 0.1) -> Instance:
@@ -196,7 +194,7 @@ def build_d2(eps: float = 0.1) -> Instance:
         source=5,
         sink=6,
     )
-    return make_instance(FLOW, data, [0, 1, 2, 7, 8])
+    return make_instance(data, [0, 1, 2, 7, 8])
 
 
 def build_d3(eps: float = 0.1) -> Instance:
@@ -210,7 +208,7 @@ def build_d3(eps: float = 0.1) -> Instance:
         source=7,
         sink=8,
     )
-    return make_instance(FLOW, data, [0])
+    return make_instance(data, [0])
 
 
 BUNDLED = {

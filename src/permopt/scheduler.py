@@ -30,7 +30,7 @@ from .perms import (
     permutation_from_point,
     separate_permutahedron,
 )
-from .subproblems import MATCHING, Instance, emit_step, step_value, subset_values
+from .subproblems import Instance, InstanceError, emit_step, step_value, subset_values
 
 # Two names for the one master program, kept so existing callers still work.
 EXTENDED = "extended"
@@ -67,14 +67,18 @@ class Schedule:
 
 
 def evaluate_schedule(instance: Instance, p: Permutation, method="evaluated") -> Schedule:
-    """Cumulative value of a fixed ordering, straight from the oracles."""
+    """Cumulative value of a fixed ordering, straight from the oracles;
+    InstanceError if the total overflows a float."""
     order = [instance.orderable[i] for i in p.order()]
     values = []
     realized = set()
     for e in order:
         realized.add(e)
         values.append(step_value(instance, realized))
-    return Schedule(p, tuple(values), sum(values), method, order=tuple(order))
+    total = sum(values)
+    if not math.isfinite(total):
+        raise InstanceError(f"the cumulative value overflows a float (total {total})")
+    return Schedule(p, tuple(values), total, method, order=tuple(order))
 
 
 def build_master_lp(instance: Instance, mode: str = EXTENDED):
@@ -116,16 +120,12 @@ def _solve_with_cuts(builder, h):
 def _unit_scaled(instance: Instance):
     """(copy of the instance with every finite weight or capacity divided by
     scale, scale), where scale is the power of two nearest the largest one."""
-    data = instance.matching if instance.family == MATCHING else instance.flow
-    values = data.weights if instance.family == MATCHING else data.capacities
-    top = max((v for v in values.values() if math.isfinite(v)), default=0.0)
+    values = instance.data.values.values()
+    top = max((v for v in values if math.isfinite(v)), default=0.0)
     if top == 0.0:
         return instance, 1.0
     scale = 2.0 ** min(round(math.log2(top)), 1023)  # 2.0 ** 1024 overflows
-    scaled = {e: v / scale for e, v in values.items()}
-    if instance.family == MATCHING:
-        return replace(instance, matching=replace(data, weights=scaled)), scale
-    return replace(instance, flow=replace(data, capacities=scaled)), scale
+    return replace(instance, data=instance.data.scaled(scale)), scale
 
 
 def _solve_master(instance: Instance, mode: str):
@@ -147,15 +147,13 @@ def solve_schedule(instance: Instance, mode: str = EXTENDED) -> Schedule:
     realized subsets.
     """
     bound, positions, scale = _solve_master(instance, mode)
-    sched = evaluate_schedule(instance, permutation_from_point(positions), method="lp")
-    if sched.total >= bound - VALUE_TOL * scale:
-        return Schedule(sched.permutation, sched.step_values, sched.total, "lp",
-                        order=sched.order, lp_bound=bound, certified=True)
-    best = _repair_subset_dp(instance)
-    if best.total < sched.total:
-        best = sched
-    return Schedule(best.permutation, best.step_values, best.total, "lp",
-                    order=best.order, lp_bound=bound, certified=True, repaired=True)
+    chosen = evaluate_schedule(instance, permutation_from_point(positions))
+    repaired = chosen.total < bound - VALUE_TOL * scale
+    if repaired:
+        best = _repair_subset_dp(instance)
+        if best.total >= chosen.total:
+            chosen = best
+    return replace(chosen, method="lp", lp_bound=bound, certified=True, repaired=repaired)
 
 
 def _repair_subset_dp(instance: Instance) -> Schedule:

@@ -1,18 +1,22 @@
 """Subproblem families: bipartite max-weight matching and s-t max flow.
 
-Each family shows up twice, deliberately: as an emitter of per-step LP
-variables/constraints coupled to a chain column, and as an independent
-combinatorial value oracle (matching by enumeration, flow by augmenting
-paths) used to cross-check every LP value.
+A family is one data class, `MatchingInstance` or `FlowInstance`, and each
+class carries both faces of its subproblem: `value`, an independent
+combinatorial oracle (matching by enumeration, flow by augmenting paths),
+and `emit`, the per-step LP block coupled to a chain column, whose values
+the oracle cross-checks. Alongside them sit `elements` (id -> endpoints),
+`values` (id -> weight or capacity), `support` (the elements of one optimal
+solution) and `scaled` (a copy in other units). `Instance` holds exactly
+one family object, so the solvers never ask which family they run on.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
-from .lp import GE, LE, EQ, LinearConstraint
+from .lp import EQ, LE, LinearConstraint
 
 MATCHING = "matching"
 FLOW = "flow"
@@ -31,6 +35,8 @@ class MatchingInstance:
     weights: dict  # element id -> weight >= 0
     left: frozenset  # one side of the bipartition
 
+    family = MATCHING  # class attribute, not a field
+
     def __post_init__(self):
         for e, w in self.weights.items():
             if not (math.isfinite(w) and w >= 0):
@@ -39,6 +45,44 @@ class MatchingInstance:
             if (u in self.left) == (v in self.left):
                 raise InstanceError(f"edge {e}=({u},{v}) does not cross the bipartition")
 
+    @property
+    def elements(self) -> dict:
+        return self.edges
+
+    @property
+    def values(self) -> dict:
+        return self.weights
+
+    def value(self, usable) -> float:
+        """Weight of a max-weight matching over the usable edges."""
+        return best_matching(self, usable)[0]
+
+    def support(self, usable) -> set:
+        """Edges of the max-weight matching that `best_matching` picks."""
+        return set(best_matching(self, usable)[1])
+
+    def scaled(self, scale: float) -> MatchingInstance:
+        return replace(self, weights={e: w / scale for e, w in self.weights.items()})
+
+    def emit(self, j, h_vars, builder) -> dict:
+        """Step-j matching block: x[e] in [0, 1] at weight w_e, x[e] <= h[e]
+        for orderable edges, and one degree row per vertex."""
+        x = {}
+        for e in sorted(self.edges):
+            x[e] = builder.add_var(f"x{j}[{e}]", 0.0, 1.0)
+            builder.set_objective(x[e], self.weights[e])
+            if e in h_vars:
+                builder.add(LinearConstraint({x[e]: 1.0, h_vars[e]: -1.0}, LE, 0.0,
+                                             name=f"avail{j}[{e}]"))
+        by_vertex = {}
+        for e, (u, v) in self.edges.items():
+            by_vertex.setdefault(u, []).append(e)
+            by_vertex.setdefault(v, []).append(e)
+        for v in sorted(by_vertex):
+            builder.add(LinearConstraint({x[e]: 1.0 for e in by_vertex[v]}, LE, 1.0,
+                                         name=f"deg{j}[{v}]"))
+        return x
+
 
 @dataclass(frozen=True)
 class FlowInstance:
@@ -46,6 +90,8 @@ class FlowInstance:
     capacities: dict  # element id -> capacity >= 0, math.inf = uncapacitated
     source: int
     sink: int
+
+    family = FLOW  # class attribute, not a field
 
     def __post_init__(self):
         if self.source == self.sink:
@@ -89,75 +135,110 @@ class FlowInstance:
             return sum(v for v in self.capacities.values() if not math.isinf(v))
         return c
 
+    @property
+    def elements(self) -> dict:
+        return self.arcs
+
+    @property
+    def values(self) -> dict:
+        return self.capacities
+
+    def value(self, usable) -> float:
+        """Max s-t flow value over the usable arcs."""
+        return max_flow(self, usable)[0]
+
+    def support(self, usable) -> set:
+        """Arcs carrying positive flow in the deterministic `max_flow` run."""
+        return {a for a, f in max_flow(self, usable)[1].items() if f > 1e-9}
+
+    def scaled(self, scale: float) -> FlowInstance:
+        return replace(self, capacities={a: c / scale for a, c in self.capacities.items()})
+
+    def emit(self, j, h_vars, builder) -> dict:
+        """Step-j flow block: f[a] in [0, cap_a], f[a] <= cap_a * h[a] for
+        orderable arcs, conservation at every inner node, and the source's
+        net outflow as the objective."""
+        f = {}
+        for a in sorted(self.arcs):
+            cap = self.finite_cap(a)
+            f[a] = builder.add_var(f"f{j}[{a}]", 0.0, cap)
+            # a zero-capacity arc is already held at zero by its [0, 0] bound
+            if a in h_vars and cap > 0:
+                builder.add(LinearConstraint({f[a]: 1.0, h_vars[a]: -cap}, LE, 0.0,
+                                             name=f"avail{j}[{a}]"))
+        for node in sorted(self.nodes):
+            if node in (self.source, self.sink):
+                continue
+            coefs = {}
+            for a, (t, h) in self.arcs.items():
+                if t == node:
+                    coefs[f[a]] = coefs.get(f[a], 0.0) + 1.0
+                if h == node:
+                    coefs[f[a]] = coefs.get(f[a], 0.0) - 1.0
+            coefs = {var: c for var, c in coefs.items() if c != 0.0}
+            if coefs:
+                builder.add(LinearConstraint(coefs, EQ, 0.0, name=f"conserve{j}[{node}]"))
+        # net outflow of the source, the value max_flow counts
+        for a, (t, h) in sorted(self.arcs.items()):
+            if t == self.source:
+                builder.set_objective(f[a], 1.0)
+            if h == self.source:
+                builder.set_objective(f[a], -1.0)
+        return f
+
 
 @dataclass(frozen=True)
 class Instance:
-    family: str
-    matching: MatchingInstance | None
-    flow: FlowInstance | None
+    data: MatchingInstance | FlowInstance  # the one subproblem family
     orderable: tuple  # sorted element ids, the ground set; |orderable| = m
     fixed: tuple  # element ids always available
 
     def __post_init__(self):
-        if self.family not in (MATCHING, FLOW):
-            raise InstanceError(f"unknown family {self.family!r}")
+        if not isinstance(self.data, (MatchingInstance, FlowInstance)):
+            raise InstanceError(f"data is a {type(self.data).__name__}, "
+                                "expected a MatchingInstance or FlowInstance")
         if set(self.orderable) & set(self.fixed):
             raise InstanceError("orderable and fixed element sets overlap")
-        referenced = set(self.element_ids())
+        referenced = set(self.data.elements)
         declared = set(self.orderable) | set(self.fixed)
         if declared != referenced:
             raise InstanceError(
                 f"declared elements {sorted(declared)} != referenced {sorted(referenced)}"
             )
 
-    def element_ids(self):
-        data = self.matching if self.family == MATCHING else self.flow
-        keys = data.edges if self.family == MATCHING else data.arcs
-        return sorted(keys)
+    @property
+    def family(self) -> str:
+        return self.data.family
 
     @property
     def m(self) -> int:
         return len(self.orderable)
 
 
-def make_instance(family, data, fixed_ids) -> Instance:
-    ids = sorted(data.edges if family == MATCHING else data.arcs)
+def make_instance(data, fixed_ids) -> Instance:
     fixed = tuple(sorted(fixed_ids))
-    orderable = tuple(i for i in ids if i not in fixed)
-    if family == MATCHING:
-        return Instance(family, data, None, orderable, fixed)
-    return Instance(family, None, data, orderable, fixed)
+    return Instance(data, tuple(i for i in sorted(data.elements) if i not in fixed), fixed)
 
 
 # ---------------------------------------------------------------------------
 # combinatorial value oracles
 
 
-def max_matching_value(inst: MatchingInstance, available) -> float:
-    """Max-weight matching over the available edges, by exhaustive search."""
-    avail = sorted(set(available))
-    if len(avail) > ENUMERATION_GUARD:
-        raise InstanceError(f"{len(avail)} edges exceeds enumeration guard {ENUMERATION_GUARD}")
-    best = 0.0
-    for subset, weight in _matchings(inst, avail):
-        if weight > best:
-            best = weight
-    return best
-
-
 def best_matching(inst: MatchingInstance, available):
     """(weight, edge-id tuple) of a max-weight matching; ties resolved by
-    lexicographically smallest edge set."""
+    lexicographically smallest edge set.
+
+    Matchings are enumerated in lexicographic order, so a later one must
+    win by more than a relative 1e-12; the tolerance scales with the
+    weights, so tiny weights are never all taken for ties of the empty set.
+    """
     avail = sorted(set(available))
     if len(avail) > ENUMERATION_GUARD:
         raise InstanceError(f"{len(avail)} edges exceeds enumeration guard {ENUMERATION_GUARD}")
-    best_w = 0.0
-    best_set = None
+    best_w, best_set = 0.0, None
     for subset, weight in _matchings(inst, avail):
-        if best_set is None or weight > best_w + 1e-12:
+        if best_set is None or weight > best_w * (1.0 + 1e-12):
             best_w, best_set = weight, subset
-        elif abs(weight - best_w) <= 1e-12 and subset < best_set:
-            best_set = subset
     return best_w, best_set
 
 
@@ -233,19 +314,12 @@ def max_flow(inst: FlowInstance, available):
         value += bottleneck
 
 
-def max_flow_value(inst: FlowInstance, available) -> float:
-    return max_flow(inst, available)[0]
-
-
 def step_value(instance: Instance, available) -> float:
     """Optimal subproblem value when `available` orderable elements plus all
     fixed elements may be used."""
     if not set(available) <= set(instance.orderable):
         raise InstanceError("available set contains non-orderable elements")
-    usable = set(available) | set(instance.fixed)
-    if instance.family == MATCHING:
-        return max_matching_value(instance.matching, usable)
-    return max_flow_value(instance.flow, usable)
+    return instance.data.value(set(available) | set(instance.fixed))
 
 
 def subset_values(instance: Instance) -> list:
@@ -259,10 +333,6 @@ def subset_values(instance: Instance) -> list:
             for mask in range(1 << m)]
 
 
-# ---------------------------------------------------------------------------
-# LP step-block emitters
-
-
 def emit_step(instance: Instance, j: int, h_vars, builder):
     """Add the step-j subproblem block to `builder`.
 
@@ -272,56 +342,4 @@ def emit_step(instance: Instance, j: int, h_vars, builder):
     """
     if not (1 <= j <= instance.m):
         raise InstanceError(f"step {j} out of range")
-    if instance.family == MATCHING:
-        return _emit_matching_step(instance, j, h_vars, builder)
-    return _emit_flow_step(instance, j, h_vars, builder)
-
-
-def _emit_matching_step(instance, j, h_vars, builder):
-    data = instance.matching
-    x = {}
-    for e in sorted(data.edges):
-        x[e] = builder.add_var(f"x{j}[{e}]", 0.0, 1.0)
-        builder.set_objective(x[e], data.weights[e])
-        if e in h_vars:
-            builder.add(LinearConstraint({x[e]: 1.0, h_vars[e]: -1.0}, LE, 0.0,
-                                         name=f"avail{j}[{e}]"))
-    by_vertex = {}
-    for e, (u, v) in data.edges.items():
-        by_vertex.setdefault(u, []).append(e)
-        by_vertex.setdefault(v, []).append(e)
-    for v in sorted(by_vertex):
-        builder.add(LinearConstraint({x[e]: 1.0 for e in by_vertex[v]}, LE, 1.0,
-                                     name=f"deg{j}[{v}]"))
-    return x
-
-
-def _emit_flow_step(instance, j, h_vars, builder):
-    data = instance.flow
-    f = {}
-    for a in sorted(data.arcs):
-        cap = data.finite_cap(a)
-        f[a] = builder.add_var(f"f{j}[{a}]", 0.0, cap)
-        # a zero-capacity arc is already held at zero by its [0, 0] bound
-        if a in h_vars and cap > 0:
-            builder.add(LinearConstraint({f[a]: 1.0, h_vars[a]: -cap}, LE, 0.0,
-                                         name=f"avail{j}[{a}]"))
-    for node in sorted(data.nodes):
-        if node in (data.source, data.sink):
-            continue
-        coefs = {}
-        for a, (t, h) in data.arcs.items():
-            if t == node:
-                coefs[f[a]] = coefs.get(f[a], 0.0) + 1.0
-            if h == node:
-                coefs[f[a]] = coefs.get(f[a], 0.0) - 1.0
-        coefs = {var: c for var, c in coefs.items() if c != 0.0}
-        if coefs:
-            builder.add(LinearConstraint(coefs, EQ, 0.0, name=f"conserve{j}[{node}]"))
-    # net outflow of the source, the value max_flow counts
-    for a, (t, h) in sorted(data.arcs.items()):
-        if t == data.source:
-            builder.set_objective(f[a], 1.0)
-        if h == data.source:
-            builder.set_objective(f[a], -1.0)
-    return f
+    return instance.data.emit(j, h_vars, builder)

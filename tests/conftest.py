@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from permopt.subproblems import FLOW, MATCHING, FlowInstance, MatchingInstance, make_instance
+from permopt.subproblems import FlowInstance, MatchingInstance, make_instance
 
 
 def random_matching_instance(rng: random.Random, m: int):
@@ -14,7 +14,7 @@ def random_matching_instance(rng: random.Random, m: int):
         edges[e] = (rng.choice(left), rng.choice(right))
         weights[e] = float(rng.randint(1, 10))
     data = MatchingInstance(edges, weights, frozenset(left))
-    return make_instance(MATCHING, data, [])
+    return make_instance(data, [])
 
 
 def random_flow_instance(rng: random.Random, m: int, n_fixed: int = 1):
@@ -38,7 +38,7 @@ def random_flow_instance(rng: random.Random, m: int, n_fixed: int = 1):
         caps[eid] = float(rng.randint(1, 10))
         eid += 1
     data = FlowInstance(arcs, caps, 0, 1)
-    return make_instance(FLOW, data, fixed_ids)
+    return make_instance(data, fixed_ids)
 
 
 def random_coverage_function(rng: random.Random, m: int, universe: int = 12):

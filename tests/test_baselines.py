@@ -46,7 +46,7 @@ class TestBruteForce:
 
     def test_single_element(self):
         data = MatchingInstance({0: (0, 1)}, {0: 3.0}, frozenset({0}))
-        inst = make_instance("matching", data, [])
+        inst = make_instance(data, [])
         s = brute_force(inst)
         assert s.total == pytest.approx(3.0)
         assert s.permutation.positions == (1,)
@@ -55,7 +55,7 @@ class TestBruteForce:
         left = frozenset(range(5))
         edges = {e: (e % 5, 10 + e) for e in range(10)}
         weights = {e: 1.0 for e in range(10)}
-        inst = make_instance("matching", MatchingInstance(edges, weights, left), [])
+        inst = make_instance(MatchingInstance(edges, weights, left), [])
         with pytest.raises(GuardError):
             brute_force(inst)
 

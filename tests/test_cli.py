@@ -1,9 +1,12 @@
 import json
 import math
+import random
 
 import pytest
 
+from conftest import random_flow_instance
 from permopt import scheduler
+from permopt.baselines import BRUTE_FORCE_GUARD
 from permopt.cli import EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, run
 from permopt.instance_io import (
     ValidationError,
@@ -234,6 +237,28 @@ class TestRun:
         assert run(["solve", "--instance", "d1.json", "--mode", "cutting-plane"]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert report["methods"][0]["total"] == "5.900000000"
+
+    def test_overflowing_total_exit_code(self, tmp_path, capsys):
+        # both steps are worth 1.7e308, so the total overflows to inf
+        doc = {"family": "matching", "left": [0], "elements": [
+            {"id": 0, "fixed": False, "u": 0, "v": 1, "w": 1.7e308},
+            {"id": 1, "fixed": False, "u": 0, "v": 2, "w": 1.0},
+        ]}
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        assert run(["compare", "--instance", str(path)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "overflows" in captured.err
+
+    def test_compare_drops_brute_above_its_guard(self, tmp_path, capsys):
+        inst = random_flow_instance(random.Random(5), BRUTE_FORCE_GUARD + 1)
+        path = tmp_path / "m10.json"
+        path.write_text(serialize_instance(inst))
+        assert run(["compare", "--instance", str(path)]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert [m["method"] for m in report["methods"]] == ["lp", "greedy-marginal",
+                                                            "greedy-first"]
 
     def test_master_lp_failure_exit_code(self, monkeypatch, capsys):
         monkeypatch.setattr(scheduler, "lp_solve", lambda lp: LpSolution(ITERATION_LIMIT))

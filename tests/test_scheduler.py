@@ -27,7 +27,6 @@ from permopt.scheduler import (
     solve_schedule,
 )
 from permopt.subproblems import (
-    FLOW,
     FlowInstance,
     InstanceError,
     MatchingInstance,
@@ -39,13 +38,12 @@ from permopt.subproblems import (
 def rescaled(instance, scale, rng):
     """The instance with each weight or capacity v replaced by
     (v + a uniform fraction) * scale."""
+    data = instance.data
     if instance.family == "matching":
-        data = instance.matching
         weights = {e: (w + rng.random()) * scale for e, w in data.weights.items()}
-        return replace(instance, matching=replace(data, weights=weights))
-    data = instance.flow
+        return replace(instance, data=replace(data, weights=weights))
     caps = {a: (c + rng.random()) * scale for a, c in data.capacities.items()}
-    return replace(instance, flow=replace(data, capacities=caps))
+    return replace(instance, data=replace(data, capacities=caps))
 
 
 def order_to_perm(instance, order_ids):
@@ -105,7 +103,7 @@ class TestEvaluateSchedule:
 class TestMasterLp:
     def test_m1_single_edge(self):
         data = MatchingInstance({0: (0, 1)}, {0: 5.0}, frozenset({0}))
-        inst = make_instance("matching", data, [])
+        inst = make_instance(data, [])
         s = solve_schedule(inst)
         assert s.total == pytest.approx(5.0)
         assert s.lp_bound == pytest.approx(5.0)
@@ -186,7 +184,7 @@ class TestSolveSchedule:
 
     def test_zero_capacity_arc(self):
         data = FlowInstance({0: (0, 2), 1: (2, 1), 2: (0, 1)}, {0: 0.0, 1: 3.0, 2: 1.0}, 0, 1)
-        inst = make_instance(FLOW, data, [])
+        inst = make_instance(data, [])
         assert solve_schedule(inst).total == brute_force(inst).total
 
     @pytest.mark.parametrize("scale", [1e-9, 1e-6, 1e6, 1e12])
@@ -204,12 +202,18 @@ class TestSolveSchedule:
     def test_largest_finite_weight(self):
         # the power of two nearest 1.7e308 is 2.0 ** 1024, which overflows
         data = MatchingInstance({0: (0, 1)}, {0: 1.7e308}, frozenset({0}))
-        s = solve_schedule(make_instance("matching", data, []))
+        s = solve_schedule(make_instance(data, []))
         assert (s.total, s.lp_bound, s.certified) == (1.7e308, 1.7e308, True)
+
+    def test_overflowing_total_raises(self):
+        # each step alone is finite, but the two steps sum to inf
+        data = MatchingInstance({0: (0, 1), 1: (0, 2)}, {0: 1.7e308, 1: 1.0}, frozenset({0}))
+        with pytest.raises(InstanceError, match="overflows"):
+            solve_schedule(make_instance(data, []))
 
     def test_no_orderable_element(self):
         data = FlowInstance({0: (0, 2), 1: (2, 1)}, {0: 3.0, 1: 2.0}, 0, 1)
-        s = solve_schedule(make_instance(FLOW, data, [0, 1]))
+        s = solve_schedule(make_instance(data, [0, 1]))
         assert (s.order, s.step_values, s.total) == ((), (), 0.0)
         assert (s.lp_bound, s.certified, s.repaired) == (0.0, True, False)
 
@@ -235,7 +239,7 @@ class TestRepairSubsetDp:
             source=0,
             sink=1,
         )
-        inst = make_instance(FLOW, data, [0])
+        inst = make_instance(data, [0])
         assert step_value(inst, ()) == 2.0
         assert _repair_subset_dp(inst).total == brute_force(inst).total
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -15,8 +16,6 @@ from permopt.subproblems import (
     best_matching,
     emit_step,
     make_instance,
-    max_flow_value,
-    max_matching_value,
     step_value,
     subset_values,
 )
@@ -25,30 +24,30 @@ from permopt.subproblems import (
 class TestOracles:
     def test_d1_all_arcs(self):
         inst = bundled_instance("d1")
-        assert max_flow_value(inst.flow, inst.flow.arcs.keys()) == pytest.approx(2.0)
+        assert inst.data.value(inst.data.arcs.keys()) == pytest.approx(2.0)
 
     def test_d3_path_arcs_only(self):
         inst = bundled_instance("d3")
         # the six path arcs plus the fixed inlet
-        assert max_flow_value(inst.flow, {0, 1, 2, 3, 4, 5, 6}) == pytest.approx(1.0)
+        assert inst.data.value({0, 1, 2, 3, 4, 5, 6}) == pytest.approx(1.0)
 
     def test_d3_shortcut_only(self):
         inst = bundled_instance("d3")
-        assert max_flow_value(inst.flow, {0, 7, 8}) == pytest.approx(0.9)
+        assert inst.data.value({0, 7, 8}) == pytest.approx(0.9)
 
     def test_g1_single_edge(self):
         inst = bundled_instance("g1")
-        assert max_matching_value(inst.matching, {1}) == pytest.approx(1.9)
+        assert inst.data.value({1}) == pytest.approx(1.9)
 
     def test_g1_all_edges(self):
         inst = bundled_instance("g1")
-        assert max_matching_value(inst.matching, {0, 1, 2}) == pytest.approx(2.0)
+        assert inst.data.value({0, 1, 2}) == pytest.approx(2.0)
 
     def test_empty_available(self):
         inst = bundled_instance("g1")
-        assert max_matching_value(inst.matching, set()) == 0.0
+        assert inst.data.value(set()) == 0.0
         d1 = bundled_instance("d1")
-        assert max_flow_value(d1.flow, set()) == 0.0
+        assert d1.data.value(set()) == 0.0
 
     def test_enumeration_guard(self):
         left = frozenset(range(30))
@@ -56,7 +55,7 @@ class TestOracles:
         weights = {e: 1.0 for e in range(30)}
         data = MatchingInstance(edges, weights, left)
         with pytest.raises(InstanceError):
-            max_matching_value(data, range(30))
+            data.value(range(30))
 
     def test_best_matching_lexicographic_tie(self):
         data = MatchingInstance(
@@ -66,6 +65,12 @@ class TestOracles:
         w, edges = best_matching(data, {0, 1})
         assert w == pytest.approx(2.0)
         assert edges == (0, 1)
+
+    def test_tiny_weights_are_not_ties(self):
+        # both weights sit below an absolute 1e-12, yet the heavier edge wins
+        data = MatchingInstance({0: (0, 1), 1: (0, 2)}, {0: 1e-13, 1: 5e-13}, frozenset({0}))
+        assert best_matching(data, {0, 1}) == (5e-13, (1,))
+        assert data.value({0, 1}) == 5e-13
 
 
 class TestStepValue:
@@ -116,12 +121,12 @@ def step_lp_value(instance: Instance, subset) -> float:
 class TestEmitStep:
     def test_single_edge_available(self):
         data = MatchingInstance({0: (0, 1)}, {0: 5.0}, frozenset({0}))
-        inst = make_instance("matching", data, [])
+        inst = make_instance(data, [])
         assert step_lp_value(inst, {0}) == pytest.approx(5.0)
 
     def test_single_arc_available(self):
         data = FlowInstance({0: (0, 1)}, {0: 2.0}, 0, 1)
-        inst = make_instance("flow", data, [])
+        inst = make_instance(data, [])
         assert step_lp_value(inst, {0}) == pytest.approx(2.0)
 
     def test_d1_single_orderable_arc(self):
@@ -133,7 +138,7 @@ class TestEmitStep:
     def test_arc_into_source_counts_net_flow(self):
         # s->2 and 2->s form a cycle through the source; only s->t reaches t
         data = FlowInstance({0: (0, 2), 1: (2, 0), 2: (0, 1)}, {0: 5.0, 1: 5.0, 2: 1.0}, 0, 1)
-        inst = make_instance("flow", data, [])
+        inst = make_instance(data, [])
         for r in range(inst.m + 1):
             for subset in itertools.combinations(inst.orderable, r):
                 assert step_lp_value(inst, set(subset)) == pytest.approx(
@@ -143,7 +148,7 @@ class TestEmitStep:
         # s->2 has capacity 0: its variable's [0, 0] bound holds it, and no
         # availability row with a zero coefficient is emitted
         data = FlowInstance({0: (0, 2), 1: (2, 1), 2: (0, 1)}, {0: 0.0, 1: 3.0, 2: 1.0}, 0, 1)
-        inst = make_instance("flow", data, [])
+        inst = make_instance(data, [])
         for r in range(inst.m + 1):
             for subset in itertools.combinations(inst.orderable, r):
                 assert step_lp_value(inst, set(subset)) == pytest.approx(
@@ -181,7 +186,7 @@ def test_fixed_element_consistency():
     # moving an element from orderable to fixed never decreases a step value
     inst = bundled_instance("d1")
     promote = inst.orderable[0]
-    promoted = make_instance("flow", inst.flow, list(inst.fixed) + [promote])
+    promoted = make_instance(inst.data, list(inst.fixed) + [promote])
     for r in range(len(promoted.orderable) + 1):
         for subset in itertools.combinations(promoted.orderable, r):
             assert step_value(promoted, set(subset)) >= step_value(inst, set(subset)) - 1e-9
@@ -200,10 +205,17 @@ class TestValidation:
         with pytest.raises(InstanceError):
             FlowInstance({0: (0, 1)}, {0: 1.0}, 0, 0)
 
+    def test_instance_holds_one_family(self):
+        data = FlowInstance({0: (0, 1)}, {0: 1.0}, 0, 1)
+        assert [f.name for f in dataclasses.fields(Instance)] == ["data", "orderable", "fixed"]
+        assert Instance(data, (0,), ()).family == "flow"
+        with pytest.raises(InstanceError, match="MatchingInstance or FlowInstance"):
+            Instance("flow", (0,), ())
+
     def test_orderable_fixed_disjoint(self):
         data = FlowInstance({0: (0, 1)}, {0: 1.0}, 0, 1)
         with pytest.raises(InstanceError):
-            Instance("flow", None, data, (0,), (0,))
+            Instance(data, (0,), (0,))
 
     def test_uncapacitated_source_sink_path_rejected(self):
         # s->2 and 2->t uncapacitated: the max flow with every arc built is
