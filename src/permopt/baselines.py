@@ -69,7 +69,8 @@ def brute_force(instance: Instance) -> Schedule:
 def _best_order(table, m: int):
     """(total, order) of the best ordering of range(m), where realizing the
     bitmask S adds table[S]; the first best order in lexicographic order
-    wins unless a later one beats it by more than 1e-12."""
+    wins unless a later one beats it by more than 1e-12 of the best total
+    (totals are nonnegative), so near-ties resolve alike at any magnitude."""
     best_total, best_order = -math.inf, None
     for order in itertools.permutations(range(m)):
         total = 0.0
@@ -77,7 +78,7 @@ def _best_order(table, m: int):
         for i in order:
             mask |= 1 << i
             total += table[mask]
-        if total > best_total + 1e-12:
+        if total > best_total * (1.0 + 1e-12):
             best_total, best_order = total, order
     return best_total, best_order
 

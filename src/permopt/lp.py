@@ -1,15 +1,16 @@
 """Dense two-phase bounded-variable primal simplex solver.
 
-Small, self-contained, and deterministic. Every program takes one path:
-standard form, one tableau, phase 1, phase 2, with both phases priced by
-the same routine. Variable bounds stay out of the tableau: the ratio test
-stops a variable at its upper bound and reflects its column instead of
-carrying one row per bounded variable, which also solves a program with
-no rows at all. Pricing is Dantzig's rule (most negative reduced cost);
-after DEGENERATE_LIMIT degenerate steps in a row it falls back to Bland's
-rule, which cannot cycle, until a step makes progress. All the polyhedral
-machinery in this package (master programs, membership checks, uniqueness
-checks) goes through `solve`.
+Small, self-contained, and deterministic. Every variable needs a finite
+lower bound, so standard form is a plain shift, u = x - lower. Every
+program takes one path: standard form, one tableau, phase 1, phase 2, with
+both phases priced by the same routine. Variable bounds stay out of the
+tableau: the ratio test stops a variable at its upper bound and reflects
+its column instead of carrying one row per bounded variable, which also
+solves a program with no rows at all. Pricing is Dantzig's rule (most
+negative reduced cost); after DEGENERATE_LIMIT degenerate steps in a row
+it falls back to Bland's rule, which cannot cycle, until a step makes
+progress. All the polyhedral machinery in this package (master programs,
+membership checks, uniqueness checks) goes through `solve`.
 """
 
 from __future__ import annotations
@@ -82,8 +83,10 @@ class LinearProgram:
         if not (len(self.lower) == len(self.upper) == len(self.objective) == self.n):
             raise LpError("bounds/objective length mismatch")
         for i in range(self.n):
-            if self.lower[i] > self.upper[i]:
-                raise LpError(f"variable {i}: lower bound exceeds upper bound")
+            # one column kind, a shift, needs a finite lower bound; NaN fails too
+            if not (math.isfinite(self.lower[i]) and self.lower[i] <= self.upper[i]):
+                raise LpError(f"variable {i}: bounds [{self.lower[i]}, {self.upper[i]}] "
+                              "need a finite lower bound no greater than the upper bound")
         for con in self.constraints:
             for var in con.coefficients:
                 if not (0 <= var < self.n):
@@ -161,87 +164,39 @@ class LpBuilder:
 def _to_standard_form(lp: LinearProgram):
     """Rewrite as max c.u, A u (rels) b, 0 <= u <= ub, with b >= 0.
 
-    Returns (c, A, b, rels, ub, const, sign, recover): `A` is the dense
+    Every variable has a finite lower bound, so there is one column kind:
+    u = x - lower, with upper bound upper - lower (math.inf when there is
+    none). Returns (c, A, b, rels, ub, const, sign): `A` is the dense
     constraint matrix with one row per constraint, `rels` the relation of
-    each row, `ub` the upper bound of each standard column (math.inf when
-    there is none), `const` and `sign` map c.u back to the original
-    objective, and `recover` maps a standard-form point back to the
-    original variables. Each original variable is shifted by its finite
-    lower bound (its upper bound becomes ub - lb), reflected if only the
-    upper bound is finite, or split into a difference of nonnegatives if
-    free. A row whose right side comes out negative is negated, with its
-    relation flipped. Bounds stay bounds: the simplex handles them in its
-    ratio test, not as rows.
+    each row, and `const` and `sign` map c.u back to the original
+    objective. A row whose right side comes out negative is negated, with
+    its relation flipped. Bounds stay bounds: the simplex handles them in
+    its ratio test, not as rows.
     """
-    cols = []  # per original var: ('shift', u_idx, lb) | ('reflect', u_idx, ub) | ('free', u+, u-)
-    ub = []
-    for i in range(lp.n):
-        lo, hi = lp.lower[i], lp.upper[i]
-        if lo > -math.inf:
-            cols.append(("shift", len(ub), lo))
-            ub.append(hi - lo)
-        elif hi < math.inf:
-            cols.append(("reflect", len(ub), hi))
-            ub.append(math.inf)
-        else:
-            cols.append(("free", len(ub), len(ub) + 1))
-            ub += [math.inf, math.inf]
-    n_std = len(ub)
-
     sign = 1.0 if lp.sense == "max" else -1.0
-    c = np.zeros(n_std)
+    c = sign * np.array(lp.objective, dtype=float)
     const = 0.0
-    for i in range(lp.n):
-        coef = sign * lp.objective[i]
-        kind, a, b = cols[i]
-        if kind == "shift":
-            c[a] += coef
-            const += coef * b
-        elif kind == "reflect":
-            c[a] -= coef
-            const += coef * b
-        else:
-            c[a] += coef
-            c[b] -= coef
+    for coef, lo in zip(c, lp.lower):
+        const += coef * lo
 
-    A = np.zeros((len(lp.constraints), n_std))
+    A = np.zeros((len(lp.constraints), lp.n))
     rhs = np.zeros(len(lp.constraints))
     rels = []
     for r, con in enumerate(lp.constraints):
-        row = A[r]
         right = con.rhs
         for var, coef in con.coefficients.items():
-            kind, a, b = cols[var]
-            if kind == "shift":
-                row[a] += coef
-                right -= coef * b
-            elif kind == "reflect":
-                row[a] -= coef
-                right -= coef * b
-            else:
-                row[a] += coef
-                row[b] -= coef
+            A[r, var] = coef
+            right -= coef * lp.lower[var]
         rel = con.relation
         if right < 0:
-            row *= -1.0
+            A[r] *= -1.0
             right = -right
             rel = {LE: GE, GE: LE, EQ: EQ}[rel]
         rhs[r] = right
         rels.append(rel)
 
-    def recover(u):
-        x = np.zeros(lp.n)
-        for i in range(lp.n):
-            kind, a, b = cols[i]
-            if kind == "shift":
-                x[i] = b + u[a]
-            elif kind == "reflect":
-                x[i] = b - u[a]
-            else:
-                x[i] = u[a] - u[b]
-        return x
-
-    return c, A, rhs, rels, np.array(ub), const, sign, recover
+    ub = np.array(lp.upper, dtype=float) - np.array(lp.lower, dtype=float)
+    return c, A, rhs, rels, ub, const, sign
 
 
 def _pivot(T, basis, row, col):
@@ -339,25 +294,27 @@ def _simplex(T, basis, ub, flipped, n_cols, start_iter, max_iter):
 def solve(lp: LinearProgram, max_iter=MAX_ITER) -> LpSolution:
     """Two-phase bounded-variable primal simplex. Deterministic for a fixed input.
 
-    One path for every program: standard form, then a tableau with one
-    slack per `<=`/`>=` row and one artificial per `>=`/`=` row (in row
-    order), then phase 1 (maximize minus the sum of the artificials), then
-    phase 2 on the reflected costs. A program with no rows takes the same
-    path; its phase 2 flips each variable whose cost points up to its bound.
+    One path for every program: standard form (each variable shifted by
+    its finite lower bound, so x = lower + u at the end), then a tableau
+    with one slack per `<=`/`>=` row and one artificial per `>=`/`=` row
+    (in row order), then phase 1 (maximize minus the sum of the
+    artificials), then phase 2 on the reflected costs. A program with no
+    rows takes the same path; its phase 2 flips each variable whose cost
+    points up to its bound.
     """
-    c, A, b, rels, ub_std, const, sign, recover = _to_standard_form(lp)
-    m_rows, n_std = A.shape
+    c, A, b, rels, ub_std, const, sign = _to_standard_form(lp)
+    m_rows, n = A.shape
     n_slack = sum(rel != EQ for rel in rels)
-    first_art = n_std + n_slack
+    first_art = n + n_slack
     total = first_art + sum(rel != LE for rel in rels)
-    ub = np.concatenate((ub_std, np.full(total - n_std, math.inf)))
+    ub = np.concatenate((ub_std, np.full(total - n, math.inf)))
     flipped = np.zeros(total, dtype=bool)
 
     T = np.zeros((m_rows + 1, total + 1))
-    T[:m_rows, :n_std] = A
+    T[:m_rows, :n] = A
     T[:m_rows, -1] = b
     basis = [0] * m_rows
-    slack, art = n_std, first_art
+    slack, art = n, first_art
     for r, rel in enumerate(rels):
         if rel != EQ:
             T[r, slack] = 1.0 if rel == LE else -1.0
@@ -388,7 +345,7 @@ def solve(lp: LinearProgram, max_iter=MAX_ITER) -> LpSolution:
 
     # phase 2: reduced costs of the reflected columns
     cost = np.zeros(total)
-    cost[:n_std] = np.where(flipped[:n_std], -c, c)
+    cost[:n] = np.where(flipped[:n], -c, c)
     _price(T, basis, cost)
     status, iters = _simplex(T, basis, ub, flipped, first_art, iters, max_iter)
     if status != OPTIMAL:
@@ -397,8 +354,8 @@ def solve(lp: LinearProgram, max_iter=MAX_ITER) -> LpSolution:
     u = np.zeros(total)
     u[basis] = T[:m_rows, -1]
     u[flipped] = ub[flipped] - u[flipped]
-    x = recover(u[:n_std])
-    obj = float(np.dot(c, u[:n_std]) + const) * sign
+    x = np.array(lp.lower, dtype=float) + u[:n]
+    obj = float(np.dot(c, u[:n]) + const) * sign
     return LpSolution(OPTIMAL, obj, x, iterations=iters)
 
 
@@ -407,11 +364,6 @@ def verify(lp: LinearProgram, sol: LpSolution, tol: float = VALUE_TOL) -> bool:
     if sol.status != OPTIMAL:
         raise LpError("verify requires an optimal solution")
     x = sol.x
-    for i in range(lp.n):
-        if x[i] < lp.lower[i] - tol or x[i] > lp.upper[i] + tol:
-            return False
-    for con in lp.constraints:
-        if not con.satisfied(x, tol):
-            return False
-    obj = float(np.dot(lp.objective, x))
-    return abs(obj - sol.objective) <= tol
+    in_bounds = np.all(x >= np.array(lp.lower) - tol) and np.all(x <= np.array(lp.upper) + tol)
+    return bool(in_bounds and all(con.satisfied(x, tol) for con in lp.constraints)
+                and abs(float(np.dot(lp.objective, x)) - sol.objective) <= tol)

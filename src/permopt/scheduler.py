@@ -162,9 +162,9 @@ def _repair_subset_dp(instance: Instance) -> Schedule:
     On the bitmask table of subset values, best[S] = value(S) + max over
     e in S of best[S minus e], with best[empty set] = 0 (fixed elements give
     the empty set a value, but no step realizes it). Bits are scanned in
-    ascending order and a later bit must win by more than 1e-12, so ties go
-    to the smallest last element and the reconstructed order is
-    deterministic. Costs one oracle value per subset.
+    ascending order and a later bit must win by more than 1e-12 of the
+    best so far, so ties go to the smallest last element at any magnitude.
+    Costs one oracle value per subset.
     """
     m = instance.m
     best = subset_values(instance)
@@ -175,7 +175,7 @@ def _repair_subset_dp(instance: Instance) -> Schedule:
         for i in range(m):
             if mask >> i & 1:
                 cand = best[mask ^ 1 << i]
-                if cand > pick_val + 1e-12:
+                if cand > pick_val * (1.0 + 1e-12):
                     pick, pick_val = i, cand
         best[mask] += pick_val
         last[mask] = pick

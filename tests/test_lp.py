@@ -37,7 +37,7 @@ def test_box_maximum():
 
 def test_infeasible():
     b = LpBuilder()
-    x = b.add_var("x", lower=-math.inf)
+    x = b.add_var("x")
     b.constraints.append(LinearConstraint({x: 1.0}, LE, 0.0))
     b.constraints.append(LinearConstraint({x: 1.0}, GE, 1.0))
     assert solve(b.build("max")).status == INFEASIBLE
@@ -79,13 +79,18 @@ def test_constraint_rejects_zero_coefficients():
 def test_bad_bounds_rejected():
     with pytest.raises(LpError):
         LinearProgram(1, [1.0], [0.0], [0.0], "max")
+    # every variable needs a finite lower bound, and no bound may be NaN
+    for lower, upper in [(-math.inf, 1.0), (-math.inf, math.inf), (math.nan, 1.0),
+                         (0.0, math.nan)]:
+        with pytest.raises(LpError):
+            LinearProgram(1, [lower], [upper], [0.0], "max")
 
 
-def test_equality_and_free_variables():
-    # max x + y s.t. x + y = 3, x - y <= 1, y free
+def test_equality_and_a_negative_lower_bound():
+    # max x + y s.t. x + y = 3, x - y <= 1, y >= -10
     b = LpBuilder()
     x = b.add_var("x", 0.0, math.inf, objective=1.0)
-    y = b.add_var("y", -math.inf, math.inf, objective=1.0)
+    y = b.add_var("y", -10.0, math.inf, objective=1.0)
     b.add(LinearConstraint({x: 1.0, y: 1.0}, EQ, 3.0))
     b.add(LinearConstraint({x: 1.0, y: -1.0}, LE, 1.0))
     sol = solve(b.build("max"))
@@ -216,7 +221,7 @@ def test_basic_variable_leaves_at_its_upper_bound(simplex_events):
 
 def test_bounds_only_maximum_is_the_cost_corner():
     # no rows: positive costs go to the upper bound, the rest to the lower
-    lp = LinearProgram(4, [0.0, -1.0, 2.0, -math.inf], [1.0, 4.0, 5.0, 7.0],
+    lp = LinearProgram(4, [0.0, -1.0, 2.0, -3.0], [1.0, 4.0, 5.0, 7.0],
                        [2.0, -1.0, 3.0, 1.0], "max")
     sol = solve(lp)
     assert sol.status == OPTIMAL

@@ -187,7 +187,7 @@ class TestSolveSchedule:
         inst = make_instance(data, [])
         assert solve_schedule(inst).total == brute_force(inst).total
 
-    @pytest.mark.parametrize("scale", [1e-9, 1e-6, 1e6, 1e12])
+    @pytest.mark.parametrize("scale", [1e-13, 1e-9, 1e-6, 1e6, 1e12])
     def test_magnitude_keeps_the_optimum(self, scale):
         # the simplex works to absolute tolerances; weights and capacities
         # far from 1 must still give a certified optimum, never a wrong

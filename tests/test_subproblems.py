@@ -8,6 +8,7 @@ import pytest
 from conftest import random_flow_instance
 from permopt.instance_io import bundled_instance
 from permopt.lp import OPTIMAL, LpBuilder, solve
+from permopt.scheduler import solve_schedule
 from permopt.subproblems import (
     FlowInstance,
     Instance,
@@ -71,6 +72,14 @@ class TestOracles:
         data = MatchingInstance({0: (0, 1), 1: (0, 2)}, {0: 1e-13, 1: 5e-13}, frozenset({0}))
         assert best_matching(data, {0, 1}) == (5e-13, (1,))
         assert data.value({0, 1}) == 5e-13
+
+    def test_tiny_capacities_are_not_zero_flow(self):
+        # both capacities sit below an absolute 1e-12, yet the path carries them
+        data = FlowInstance({0: (0, 2), 1: (2, 1)}, {0: 5e-13, 1: 5e-13}, 0, 1)
+        assert data.value({0, 1}) == 5e-13
+        assert data.support({0, 1}) == {0, 1}
+        s = solve_schedule(make_instance(data, []))
+        assert (s.total, s.certified) == (5e-13, True)
 
 
 class TestStepValue:
