@@ -364,6 +364,11 @@ def verify(lp: LinearProgram, sol: LpSolution, tol: float = VALUE_TOL) -> bool:
     if sol.status != OPTIMAL:
         raise LpError("verify requires an optimal solution")
     x = sol.x
-    in_bounds = np.all(x >= np.array(lp.lower) - tol) and np.all(x <= np.array(lp.upper) + tol)
-    return bool(in_bounds and all(con.satisfied(x, tol) for con in lp.constraints)
-                and abs(float(np.dot(lp.objective, x)) - sol.objective) <= tol)
+    for i in range(lp.n):
+        if x[i] < lp.lower[i] - tol or x[i] > lp.upper[i] + tol:
+            return False
+    for con in lp.constraints:
+        if not con.satisfied(x, tol):
+            return False
+    obj = float(np.dot(lp.objective, x))
+    return abs(obj - sol.objective) <= tol

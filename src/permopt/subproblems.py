@@ -148,10 +148,8 @@ class FlowInstance:
         return max_flow(self, usable)[0]
 
     def support(self, usable) -> set:
-        """Arcs carrying over 1e-9 of the largest arc flow in the `max_flow` run."""
-        flow = max_flow(self, usable)[1]
-        top = max(flow.values(), default=0.0)
-        return {a for a, f in flow.items() if f > 1e-9 * top}
+        """Arcs carrying flow in the `max_flow` run, by its per-arc zero test."""
+        return {a for a, f in max_flow(self, usable)[1].items() if f > 1e-12 * self.finite_cap(a)}
 
     def scaled(self, scale: float) -> FlowInstance:
         return replace(self, capacities={a: c / scale for a, c in self.capacities.items()})
@@ -267,20 +265,20 @@ def max_flow(inst: FlowInstance, available):
 
     Adjacency is scanned in ascending arc id and residual (reverse) arcs
     after all forward arcs, so the run, and the support of the returned
-    flow, are deterministic. A residual or flow at or below 1e-12 of the
-    largest usable capacity counts as zero, so the run is scale-free.
-    Returns (value, flow dict arc id -> flow).
+    flow, are deterministic. A residual or flow at or below 1e-12 of its
+    arc's capacity counts as zero, so the run is scale-free. Returns
+    (value, flow dict arc id -> flow).
     """
     avail = sorted(set(available))
     residual = {a: inst.finite_cap(a) for a in avail}
-    tol = 1e-12 * max(residual.values()) if residual else 0.0
     flow = {a: 0.0 for a in avail}
     out_arcs = {}
     in_arcs = {}
     for a in avail:
         t, h = inst.arcs[a]
-        out_arcs.setdefault(t, []).append(a)
-        in_arcs.setdefault(h, []).append(a)
+        zero = 1e-12 * residual[a]
+        out_arcs.setdefault(t, []).append((a, h, zero))
+        in_arcs.setdefault(h, []).append((a, t, zero))
 
     value = 0.0
     while True:
@@ -289,14 +287,12 @@ def max_flow(inst: FlowInstance, available):
         queue = deque([inst.source])
         while queue and inst.sink not in parent:
             u = queue.popleft()
-            for a in out_arcs.get(u, ()):
-                h = inst.arcs[a][1]
-                if h not in parent and residual[a] > tol:
+            for a, h, zero in out_arcs.get(u, ()):
+                if h not in parent and residual[a] > zero:
                     parent[h] = (a, True)
                     queue.append(h)
-            for a in in_arcs.get(u, ()):
-                t = inst.arcs[a][0]
-                if t not in parent and flow[a] > tol:
+            for a, t, zero in in_arcs.get(u, ()):
+                if t not in parent and flow[a] > zero:
                     parent[t] = (a, False)
                     queue.append(t)
         if inst.sink not in parent:

@@ -16,7 +16,7 @@ from permopt.baselines import (
 )
 from permopt.instance_io import bundled_instance
 from permopt.scheduler import evaluate_schedule
-from permopt.subproblems import MatchingInstance, make_instance
+from permopt.subproblems import FlowInstance, MatchingInstance, make_instance
 from test_scheduler import order_to_perm
 
 
@@ -37,6 +37,15 @@ class TestGreedyOptimalFirst:
     def test_g1_realizes_outer_edges_first(self):
         s = greedy_optimal_first(bundled_instance("g1"))
         assert set(s.order[:2]) == {0, 2}
+
+    def test_unit_path_beside_a_huge_arc_stays_in_the_support(self):
+        # arc 0 is a 1e10 s->t arc, arc 1 a dead end, arcs 2 and 3 a unit
+        # s->2->t path: the path carries flow, so it is realized before arc 1
+        data = FlowInstance({0: (0, 1), 1: (0, 3), 2: (0, 2), 3: (2, 1)},
+                            {0: 1e10, 1: 1.0, 2: 1.0, 3: 1.0}, 0, 1)
+        s = greedy_optimal_first(make_instance(data, []))
+        assert s.order == (0, 2, 3, 1)
+        assert s.total == 4e10 + 2.0
 
 
 class TestBruteForce:

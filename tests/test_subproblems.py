@@ -81,6 +81,16 @@ class TestOracles:
         s = solve_schedule(make_instance(data, []))
         assert (s.total, s.certified) == (5e-13, True)
 
+    def test_huge_dead_end_does_not_hide_a_unit_path(self):
+        # a 1e13 dead end s->3 beside the unit path s->2->t: each arc's zero
+        # test is relative to its own capacity, so the path still counts
+        data = FlowInstance({0: (0, 3), 1: (0, 2), 2: (2, 1)}, {0: 1e13, 1: 1.0, 2: 1.0}, 0, 1)
+        assert data.value({1, 2}) == 1.0
+        assert data.value({0, 1, 2}) == 1.0
+        assert data.support({0, 1, 2}) == {1, 2}
+        s = solve_schedule(make_instance(data, []))
+        assert (s.total, s.certified) == (2.0, True)
+
 
 class TestStepValue:
     def test_empty_no_fixed(self):
