@@ -2,14 +2,14 @@
 monotone-submodular greedy with its approximation-ratio lower bound.
 
 All greedies run one marginal-gain loop (`_greedy`) over a value function
-they pass in. Both brute forces enumerate every ordering with one loop
-(`_best_order`) over a bitmask-indexed table of subset values; for
+they pass in. Both brute forces find the lexicographically first best
+order with one subset DP (`_best_order`) over a bitmask-indexed table of
+subset values, in O(m·2^m) steps instead of walking all m! orders; for
 instances that table is `subproblems.subset_values`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -58,8 +58,8 @@ def greedy_optimal_first(instance: Instance) -> Schedule:
 
 
 def brute_force(instance: Instance) -> Schedule:
-    """Evaluate every ordering; ties resolved by the lexicographically
-    smallest realization order."""
+    """Exact optimum by a subset DP over every realized subset; ties
+    resolved by the lexicographically first best realization order."""
     if instance.m > BRUTE_FORCE_GUARD:
         raise GuardError(f"m={instance.m} exceeds brute-force guard {BRUTE_FORCE_GUARD}")
     order = _best_order(subset_values(instance), instance.m)[1]
@@ -68,19 +68,40 @@ def brute_force(instance: Instance) -> Schedule:
 
 def _best_order(table, m: int):
     """(total, order) of the best ordering of range(m), where realizing the
-    bitmask S adds table[S]; the first best order in lexicographic order
-    wins unless a later one beats it by more than 1e-12 of the best total
-    (totals are nonnegative), so near-ties resolve alike at any magnitude."""
-    best_total, best_order = -math.inf, None
-    for order in itertools.permutations(range(m)):
-        total = 0.0
-        mask = 0
-        for i in order:
-            mask |= 1 << i
-            total += table[mask]
-        if total > best_total * (1.0 + 1e-12):
-            best_total, best_order = total, order
-    return best_total, best_order
+    bitmask S adds table[S]: the lexicographically first best order, by a
+    subset DP in O(m·2^m) table lookups.
+
+    tail[S] is the best value still to come once S is realized; bits are
+    scanned in ascending order and a later bit must win by more than 1e-12
+    of the best so far. The order then takes, from the empty set on, the
+    smallest element whose continuation falls short of tail[S] by at most
+    1e-12 of it (totals are nonnegative), so near-ties resolve alike at
+    any magnitude. The total is summed forward along that order, as the
+    order's own step values would be.
+    """
+    full = (1 << m) - 1
+    tail = [0.0] * (full + 1)
+    for mask in range(full - 1, -1, -1):
+        best = -math.inf
+        for i in range(m):
+            if not mask >> i & 1:
+                nxt = mask | 1 << i
+                cand = table[nxt] + tail[nxt]
+                if cand > best * (1.0 + 1e-12):
+                    best = cand
+        tail[mask] = best
+    total, mask, order = 0.0, 0, []
+    while mask != full:
+        for i in range(m):
+            if not mask >> i & 1:
+                nxt = mask | 1 << i
+                step = table[nxt]
+                if not tail[mask] > (step + tail[nxt]) * (1.0 + 1e-12):
+                    break
+        order.append(i)
+        total += step
+        mask = nxt
+    return total, tuple(order)
 
 
 def _from_order(instance: Instance, order, method) -> Schedule:
@@ -131,7 +152,9 @@ def submodular_greedy(f: SetFunctionSpec) -> Schedule:
 
 
 def brute_force_set_function(f: SetFunctionSpec) -> float:
-    """Exhaustive optimum of the cumulative value over all orderings."""
+    """Exact optimum of the cumulative value over all orderings, by the
+    subset DP of `brute_force`: the total of the lexicographically first
+    best order."""
     m = f.m
     if m > BRUTE_FORCE_GUARD:
         raise GuardError(f"m={m} exceeds brute-force guard {BRUTE_FORCE_GUARD}")

@@ -56,13 +56,13 @@ class Schedule:
     repaired: bool = False
 
     def __post_init__(self):
-        if abs(self.total - sum(self.step_values)) > 1e-9 * max(1.0, abs(self.total)):
+        if abs(self.total - sum(self.step_values)) > 1e-9 * abs(self.total):
             raise ValueError(f"total {self.total} is not the sum of the step values")
         for a, b in zip(self.step_values, self.step_values[1:]):
-            if b < a - 1e-9 * max(1.0, abs(a)):
+            if b < a - 1e-9 * abs(a):
                 raise ValueError("per-step values must be nondecreasing")
         bound = self.lp_bound
-        if bound is not None and self.total > bound + VALUE_TOL * max(1.0, abs(bound)):
+        if bound is not None and self.total > bound + VALUE_TOL * abs(bound):
             raise ValueError(f"total {self.total} exceeds the LP bound {self.lp_bound}")
 
 

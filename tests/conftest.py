@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -48,6 +50,28 @@ def random_coverage_function(rng: random.Random, m: int, universe: int = 12):
         frozenset(u for u in range(universe) if rng.random() < 0.35) for _ in range(m)
     )
     return SetFunctionSpec("coverage", covers=covers)
+
+
+def enumerated_best_order(table, m: int):
+    """(total, order) of the best ordering of range(m), where realizing the
+    bitmask S adds table[S], by walking all m! orders; the first best order
+    in lexicographic order wins unless a later one beats it by more than
+    1e-12 of the best total. The reference for `baselines._best_order`."""
+    best_total, best_order = -math.inf, None
+    for order in itertools.permutations(range(m)):
+        total = 0.0
+        mask = 0
+        for i in order:
+            mask |= 1 << i
+            total += table[mask]
+        if total > best_total * (1.0 + 1e-12):
+            best_total, best_order = total, order
+    return best_total, best_order
+
+
+def set_function_table(f):
+    """Bitmask table of a `SetFunctionSpec`: entry mask is f of its bits."""
+    return [f.value([i for i in range(f.m) if mask >> i & 1]) for mask in range(1 << f.m)]
 
 
 @pytest.fixture

@@ -3,10 +3,17 @@ import random
 
 import pytest
 
-from conftest import random_coverage_function
+from conftest import (
+    enumerated_best_order,
+    random_coverage_function,
+    random_flow_instance,
+    random_matching_instance,
+    set_function_table,
+)
 from permopt.baselines import (
     GuardError,
     SetFunctionSpec,
+    _best_order,
     brute_force,
     brute_force_set_function,
     greedy_marginal,
@@ -16,7 +23,7 @@ from permopt.baselines import (
 )
 from permopt.instance_io import bundled_instance
 from permopt.scheduler import evaluate_schedule
-from permopt.subproblems import FlowInstance, MatchingInstance, make_instance
+from permopt.subproblems import FlowInstance, MatchingInstance, make_instance, subset_values
 from test_scheduler import order_to_perm
 
 
@@ -76,6 +83,67 @@ class TestBruteForce:
             best = brute_force(inst).total
             assert greedy_marginal(inst).total <= best + 1e-9
             assert greedy_optimal_first(inst).total <= best + 1e-9
+
+
+class TestBestOrder:
+    """The subset DP returns the order, and the total bit for bit, that
+    walking all m! orders returns."""
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_generator_tables(self, m):
+        rng = random.Random(9300 + m)
+        for _ in range(4):
+            for make in (random_matching_instance, random_flow_instance):
+                table = subset_values(make(rng, m))
+                for scale in (1.0, 1e-13, 0.1, 3.0):
+                    scaled = [v * scale for v in table]
+                    assert _best_order(scaled, m) == enumerated_best_order(scaled, m)
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_additive_with_repeated_weights(self, m):
+        # few distinct weights, so many orders tie for the best total
+        rng = random.Random(9400 + m)
+        for _ in range(6):
+            f = SetFunctionSpec("additive", weights=tuple(
+                rng.choice((0.0, 0.1, 1.0, 1.0, 2.0)) for _ in range(m)))
+            table = set_function_table(f)
+            walked = enumerated_best_order(table, m)
+            assert _best_order(table, m) == walked
+            assert brute_force_set_function(f) == walked[0]
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_coverage(self, m):
+        rng = random.Random(9500 + m)
+        for _ in range(6):
+            f = random_coverage_function(rng, m)
+            table = set_function_table(f)
+            walked = enumerated_best_order(table, m)
+            assert _best_order(table, m) == walked
+            assert brute_force_set_function(f) == walked[0]
+
+    @pytest.mark.parametrize("name,order", [
+        ("g1", (1, 0, 2)),
+        ("g2", (1, 3, 0, 2)),
+        ("d1", (5, 3, 4)),
+        ("d2", (4, 6, 3, 5)),
+        ("d3", (7, 8, 1, 2, 3, 4, 5, 6)),
+    ])
+    def test_bundled_orders(self, name, order):
+        assert brute_force(bundled_instance(name)).order == order
+
+    def test_lookups_grow_as_m_times_2_to_the_m(self):
+        # walking all 9! orders would take 9! * 9 = 3 265 920 lookups
+        class CountingList(list):
+            lookups = 0
+
+            def __getitem__(self, mask):
+                CountingList.lookups += 1
+                return super().__getitem__(mask)
+
+        m = 9
+        f = random_coverage_function(random.Random(9600), m)
+        _best_order(CountingList(set_function_table(f)), m)
+        assert 0 < CountingList.lookups <= 2 * m * 2**m
 
 
 class TestSuboptimalityWitnesses:

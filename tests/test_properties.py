@@ -10,9 +10,14 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from conftest import random_flow_instance, random_matching_instance  # noqa: E402
+from conftest import (  # noqa: E402
+    enumerated_best_order,
+    random_flow_instance,
+    random_matching_instance,
+)
 from permopt.baselines import brute_force, greedy_marginal, greedy_optimal_first  # noqa: E402
 from permopt.scheduler import solve_schedule  # noqa: E402
+from permopt.subproblems import subset_values  # noqa: E402
 
 METHODS = (solve_schedule, brute_force, greedy_marginal, greedy_optimal_first)
 
@@ -28,6 +33,9 @@ def test_power_of_two_scaling_is_exact(make, m, seed, k):
     inst = make(random.Random(seed), m)
     scaled = replace(inst, data=inst.data.scaled(2.0 ** -k))
     factor = 2.0 ** k
+    # brute force's order is the one that walking every order picks
+    walked = enumerated_best_order(subset_values(inst), inst.m)[1]
+    assert brute_force(inst).order == tuple(inst.orderable[i] for i in walked)
     for method in METHODS:
         a, b = method(inst), method(scaled)
         assert b.order == a.order

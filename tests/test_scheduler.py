@@ -88,6 +88,11 @@ class TestEvaluateSchedule:
         ((1.0, 2.0), 4.0, None),   # total is not the sum of the steps
         ((2.0, 1.0), 3.0, None),   # steps decrease
         ((1.0, 2.0), 3.0, 2.5),    # total exceeds the LP bound
+        # each check is relative to the values it compares, so it holds
+        # however small they are
+        ((1e-12,), 1e-12, 1e-13),          # total is 10x the LP bound
+        ((2e-12, 1e-12), 3e-12, None),     # steps decrease
+        ((1e-12, 1e-12), 5e-10, None),     # total is not the sum of the steps
     ])
     def test_invariants_raise(self, steps, total, bound):
         with pytest.raises(ValueError):
