@@ -3,18 +3,18 @@ monotone-submodular greedy with its approximation-ratio lower bound.
 
 All greedies run one marginal-gain loop (`_greedy`) over a value function
 they pass in. Both brute forces find the lexicographically first best
-order with one subset DP (`_best_order`) over a bitmask-indexed table of
-subset values, in O(m·2^m) steps instead of walking all m! orders; for
-instances that table is `subproblems.subset_values`.
+order with `scheduler._best_order`, the subset DP that also repairs the
+master LP's order, over a bitmask-indexed table of subset values, in
+O(m·2^m) steps instead of walking all m! orders; for instances that table
+is `subproblems.subset_values`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .perms import Permutation
-from .scheduler import Schedule, evaluate_schedule
+from .scheduler import Schedule, _best_order, evaluate_schedule
 from .subproblems import Instance, step_value, subset_values
 
 BRUTE_FORCE_GUARD = 9
@@ -64,44 +64,6 @@ def brute_force(instance: Instance) -> Schedule:
         raise GuardError(f"m={instance.m} exceeds brute-force guard {BRUTE_FORCE_GUARD}")
     order = _best_order(subset_values(instance), instance.m)[1]
     return evaluate_schedule(instance, Permutation.from_order(order), "brute")
-
-
-def _best_order(table, m: int):
-    """(total, order) of the best ordering of range(m), where realizing the
-    bitmask S adds table[S]: the lexicographically first best order, by a
-    subset DP in O(m·2^m) table lookups.
-
-    tail[S] is the best value still to come once S is realized; bits are
-    scanned in ascending order and a later bit must win by more than 1e-12
-    of the best so far. The order then takes, from the empty set on, the
-    smallest element whose continuation falls short of tail[S] by at most
-    1e-12 of it (totals are nonnegative), so near-ties resolve alike at
-    any magnitude. The total is summed forward along that order, as the
-    order's own step values would be.
-    """
-    full = (1 << m) - 1
-    tail = [0.0] * (full + 1)
-    for mask in range(full - 1, -1, -1):
-        best = -math.inf
-        for i in range(m):
-            if not mask >> i & 1:
-                nxt = mask | 1 << i
-                cand = table[nxt] + tail[nxt]
-                if cand > best * (1.0 + 1e-12):
-                    best = cand
-        tail[mask] = best
-    total, mask, order = 0.0, 0, []
-    while mask != full:
-        for i in range(m):
-            if not mask >> i & 1:
-                nxt = mask | 1 << i
-                step = table[nxt]
-                if not tail[mask] > (step + tail[nxt]) * (1.0 + 1e-12):
-                    break
-        order.append(i)
-        total += step
-        mask = nxt
-    return total, tuple(order)
 
 
 def _from_order(instance: Instance, order, method) -> Schedule:

@@ -7,13 +7,16 @@ rows with [0, 1] bounds already confine the positions
 y_i = m + 1 - sum_j h[i][j] to the permutahedron, so the program carries
 no position variables. Its optimum bounds the best cumulative schedule
 value; the ordering is read off the positions and re-certified against
-the combinatorial oracles.
+the combinatorial oracles. An ordering that falls short of the bound is
+repaired by the one subset DP, `_best_order`, which brute force runs too:
+ties go to the lexicographically first best order.
 
 The simplex works to absolute tolerances, so the master is solved on a
 copy of the instance in units of the power of two nearest its largest
 finite weight or capacity, and its bound is multiplied back. Dividing by a
-power of two is exact, and certification compares in the same units, so
-an instance's magnitude does not change its answer.
+power of two is exact, and certification compares the total with the bound
+relative to the bound, so an instance's magnitude does not change its
+answer.
 """
 
 from __future__ import annotations
@@ -129,12 +132,12 @@ def _unit_scaled(instance: Instance):
 
 
 def _solve_master(instance: Instance, mode: str):
-    """(master LP bound, positions at its optimum, unit scale), or
-    SolveError; the program is built on the unit-scaled instance."""
+    """(master LP bound, positions at its optimum), or SolveError; the
+    program is built on the unit-scaled instance."""
     scaled, scale = _unit_scaled(instance)
     builder, h = build_master_lp(scaled, mode)
     sol = _solve_with_cuts(builder, h)
-    return sol.objective * scale, chain_positions(h, sol.x), scale
+    return sol.objective * scale, chain_positions(h, sol.x)
 
 
 def solve_schedule(instance: Instance, mode: str = EXTENDED) -> Schedule:
@@ -144,48 +147,60 @@ def solve_schedule(instance: Instance, mode: str = EXTENDED) -> Schedule:
     values are concave in the availability columns, so fractional positions
     overestimate), in which case the extracted ordering fails certification
     and integrality is repaired exactly by dynamic programming over
-    realized subsets.
+    realized subsets. The gap is judged against the bound itself, so an
+    arc or edge far larger than the optimum cannot hide it.
     """
-    bound, positions, scale = _solve_master(instance, mode)
+    bound, positions = _solve_master(instance, mode)
     chosen = evaluate_schedule(instance, permutation_from_point(positions))
-    repaired = chosen.total < bound - VALUE_TOL * scale
+    repaired = chosen.total < bound - VALUE_TOL * abs(bound)
     if repaired:
-        best = _repair_subset_dp(instance)
-        if best.total >= chosen.total:
-            chosen = best
+        chosen = _repair_subset_dp(instance)
     return replace(chosen, method="lp", lp_bound=bound, certified=True, repaired=repaired)
 
 
 def _repair_subset_dp(instance: Instance) -> Schedule:
-    """Exact optimum by dynamic programming over realized subsets.
-
-    On the bitmask table of subset values, best[S] = value(S) + max over
-    e in S of best[S minus e], with best[empty set] = 0 (fixed elements give
-    the empty set a value, but no step realizes it). Bits are scanned in
-    ascending order and a later bit must win by more than 1e-12 of the
-    best so far, so ties go to the smallest last element at any magnitude.
-    Costs one oracle value per subset.
-    """
-    m = instance.m
-    best = subset_values(instance)
-    best[0] = 0.0
-    last = [0] * len(best)
-    for mask in range(1, len(best)):
-        pick, pick_val = 0, -math.inf
-        for i in range(m):
-            if mask >> i & 1:
-                cand = best[mask ^ 1 << i]
-                if cand > pick_val * (1.0 + 1e-12):
-                    pick, pick_val = i, cand
-        best[mask] += pick_val
-        last[mask] = pick
-    order = []
-    mask = len(best) - 1
-    while mask:
-        order.append(last[mask])
-        mask ^= 1 << last[mask]
-    order.reverse()
+    """Exact optimum: the order `_best_order` picks on the subset table,
+    at one oracle value per subset."""
+    order = _best_order(subset_values(instance), instance.m)[1]
     return evaluate_schedule(instance, Permutation.from_order(order))
+
+
+def _best_order(table, m: int):
+    """(total, order) of the best ordering of range(m), where realizing the
+    bitmask S adds table[S]: the lexicographically first best order, by a
+    subset DP in O(m·2^m) table lookups.
+
+    tail[S] is the best value still to come once S is realized; bits are
+    scanned in ascending order and a later bit must win by more than 1e-12
+    of the best so far. The order then takes, from the empty set on, the
+    smallest element whose continuation falls short of tail[S] by at most
+    1e-12 of it (totals are nonnegative), so near-ties resolve alike at
+    any magnitude. The total is summed forward along that order, as the
+    order's own step values would be; table[0] is never read.
+    """
+    full = (1 << m) - 1
+    tail = [0.0] * (full + 1)
+    for mask in range(full - 1, -1, -1):
+        best = -math.inf
+        for i in range(m):
+            if not mask >> i & 1:
+                nxt = mask | 1 << i
+                cand = table[nxt] + tail[nxt]
+                if cand > best * (1.0 + 1e-12):
+                    best = cand
+        tail[mask] = best
+    total, mask, order = 0.0, 0, []
+    while mask != full:
+        for i in range(m):
+            if not mask >> i & 1:
+                nxt = mask | 1 << i
+                step = table[nxt]
+                if not tail[mask] > (step + tail[nxt]) * (1.0 + 1e-12):
+                    break
+        order.append(i)
+        total += step
+        mask = nxt
+    return total, tuple(order)
 
 
 def master_lp_value(instance: Instance, mode: str = EXTENDED) -> float:

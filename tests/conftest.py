@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from permopt.subproblems import FlowInstance, MatchingInstance, make_instance
+from permopt.subproblems import FlowInstance, MatchingInstance, make_instance, subset_values
 
 
 def random_matching_instance(rng: random.Random, m: int):
@@ -67,6 +67,13 @@ def enumerated_best_order(table, m: int):
         if total > best_total * (1.0 + 1e-12):
             best_total, best_order = total, order
     return best_total, best_order
+
+
+def walked(instance):
+    """(total, order of element ids) that walking all m! orders picks on
+    the instance's subset table."""
+    total, order = enumerated_best_order(subset_values(instance), instance.m)
+    return total, tuple(instance.orderable[i] for i in order)
 
 
 def set_function_table(f):

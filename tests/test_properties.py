@@ -10,14 +10,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from conftest import (  # noqa: E402
-    enumerated_best_order,
-    random_flow_instance,
-    random_matching_instance,
-)
+from conftest import random_flow_instance, random_matching_instance, walked  # noqa: E402
 from permopt.baselines import brute_force, greedy_marginal, greedy_optimal_first  # noqa: E402
 from permopt.scheduler import solve_schedule  # noqa: E402
-from permopt.subproblems import subset_values  # noqa: E402
 
 METHODS = (solve_schedule, brute_force, greedy_marginal, greedy_optimal_first)
 
@@ -33,11 +28,14 @@ def test_power_of_two_scaling_is_exact(make, m, seed, k):
     inst = make(random.Random(seed), m)
     scaled = replace(inst, data=inst.data.scaled(2.0 ** -k))
     factor = 2.0 ** k
-    # brute force's order is the one that walking every order picks
-    walked = enumerated_best_order(subset_values(inst), inst.m)[1]
-    assert brute_force(inst).order == tuple(inst.orderable[i] for i in walked)
+    # brute force's order is the one that walking every order picks, and
+    # so is the order of every repaired solve
+    order = walked(inst)[1]
+    assert brute_force(inst).order == order
     for method in METHODS:
         a, b = method(inst), method(scaled)
+        if a.repaired:
+            assert a.order == order
         assert b.order == a.order
         assert b.step_values == tuple(v * factor for v in a.step_values)
         assert b.total == a.total * factor

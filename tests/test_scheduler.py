@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import random_flow_instance, random_matching_instance
+from conftest import random_flow_instance, random_matching_instance, walked
 from permopt.baselines import brute_force
 from permopt.instance_io import bundled_instance
 from permopt import scheduler
@@ -222,6 +222,23 @@ class TestSolveSchedule:
         assert (s.order, s.step_values, s.total) == ((), (), 0.0)
         assert (s.lp_bound, s.certified, s.repaired) == (0.0, True, False)
 
+    @pytest.mark.parametrize("big,unit", [(1e9, 1.0), (1e6, 1e-3)])
+    def test_gap_judged_against_the_bound(self, big, unit):
+        # the huge arc s->3 leads into a dead end; measured against the
+        # largest capacity, the LP order's shortfall of one unit arc looked
+        # like rounding and was certified without repair
+        data = FlowInstance(
+            arcs={0: (0, 3), 1: (0, 2), 2: (3, 4), 3: (2, 1)},
+            capacities={0: big, 1: unit, 2: unit, 3: unit},
+            source=0,
+            sink=1,
+        )
+        inst = make_instance(data, [])
+        s = solve_schedule(inst)
+        assert s.total == brute_force(inst).total == pytest.approx(3 * unit, rel=1e-12)
+        assert s.lp_bound == pytest.approx(3 * unit, rel=1e-9)
+        assert (s.certified, s.repaired) == (True, True)
+
     def test_master_lp_failure_raises(self, monkeypatch):
         monkeypatch.setattr(scheduler, "lp_solve", lambda lp: LpSolution(ITERATION_LIMIT))
         with pytest.raises(SolveError, match="iteration_limit"):
@@ -233,7 +250,8 @@ class TestRepairSubsetDp:
     def test_matches_brute_force(self, m):
         rng = random.Random(9100 + m)
         for inst in (random_matching_instance(rng, m), random_flow_instance(rng, m)):
-            assert _repair_subset_dp(inst).total == brute_force(inst).total
+            s = _repair_subset_dp(inst)
+            assert (s.total, s.order) == walked(inst)
 
     def test_fixed_s_t_arc(self):
         # the fixed s-t arc gives every subset, the empty one included, a
@@ -246,16 +264,18 @@ class TestRepairSubsetDp:
         )
         inst = make_instance(data, [0])
         assert step_value(inst, ()) == 2.0
-        assert _repair_subset_dp(inst).total == brute_force(inst).total
+        s = _repair_subset_dp(inst)
+        assert (s.total, s.order) == walked(inst)
 
+    # brute force's pins: repair and brute force run one DP with one tie rule
     @pytest.mark.parametrize(
         "name,order",
         [
-            ("g1", (1, 2, 0)),
-            ("g2", (3, 1, 2, 0)),
-            ("d1", (5, 4, 3)),
-            ("d2", (6, 4, 5, 3)),
-            ("d3", (8, 7, 6, 5, 4, 3, 2, 1)),
+            ("g1", (1, 0, 2)),
+            ("g2", (1, 3, 0, 2)),
+            ("d1", (5, 3, 4)),
+            ("d2", (4, 6, 3, 5)),
+            ("d3", (7, 8, 1, 2, 3, 4, 5, 6)),
         ],
     )
     def test_bundled_orders(self, name, order):
