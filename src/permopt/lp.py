@@ -2,15 +2,19 @@
 
 Small, self-contained, and deterministic. Every variable needs a finite
 lower bound, so standard form is a plain shift, u = x - lower. Every
-program takes one path: standard form, one tableau, phase 1, phase 2, with
-both phases priced by the same routine. Variable bounds stay out of the
-tableau: the ratio test stops a variable at its upper bound and reflects
-its column instead of carrying one row per bounded variable, which also
-solves a program with no rows at all. Pricing is Dantzig's rule (most
-negative reduced cost); after DEGENERATE_LIMIT degenerate steps in a row
-it falls back to Bland's rule, which cannot cycle, until a step makes
-progress. All the polyhedral machinery in this package (master programs,
-membership checks, uniqueness checks) goes through `solve`.
+program takes one path: standard form, one tableau, phase 1, phase 2,
+with both phases priced by the same routine. A program's `start` names
+variables that begin at their finite upper bound instead of their lower
+one (a crash start). Phase 1 runs only if that point leaves some
+artificial variable positive, so a start that satisfies every row goes
+straight to phase 2. Variable bounds stay out of the tableau: the ratio
+test stops a variable at its upper bound and reflects its column instead
+of carrying one row per bounded variable, which also solves a program
+with no rows at all. Pricing is Dantzig's rule (most negative reduced
+cost); after DEGENERATE_LIMIT degenerate steps in a row it falls back to
+Bland's rule, which cannot cycle, until a step makes progress. All the
+polyhedral machinery in this package (master programs, membership
+checks, uniqueness checks) goes through `solve`.
 """
 
 from __future__ import annotations
@@ -76,6 +80,7 @@ class LinearProgram:
     objective: list
     sense: str  # 'max' or 'min'
     constraints: list = field(default_factory=list)
+    start: frozenset = frozenset()  # variables that begin at their upper bound
 
     def __post_init__(self):
         if self.sense not in ("max", "min"):
@@ -91,6 +96,9 @@ class LinearProgram:
             for var in con.coefficients:
                 if not (0 <= var < self.n):
                     raise LpError(f"constraint references undeclared variable {var}")
+        for var in self.start:
+            if not (0 <= var < self.n and math.isfinite(self.upper[var])):
+                raise LpError(f"start variable {var} is undeclared or has no finite upper bound")
 
 
 @dataclass
@@ -150,7 +158,7 @@ class LpBuilder:
         for con in cons:
             self.add(con)
 
-    def build(self, sense="max") -> LinearProgram:
+    def build(self, sense="max", start=()) -> LinearProgram:
         return LinearProgram(
             n=self.n,
             lower=list(self.lower),
@@ -158,6 +166,7 @@ class LpBuilder:
             objective=list(self.objective),
             sense=sense,
             constraints=list(self.constraints),
+            start=frozenset(start),
         )
 
 
@@ -166,7 +175,10 @@ def _to_standard_form(lp: LinearProgram):
 
     Every variable has a finite lower bound, so there is one column kind:
     u = x - lower, with upper bound upper - lower (math.inf when there is
-    none). Returns (c, A, b, rels, ub, const, sign): `A` is the dense
+    none). A column in `lp.start` is reflected up front, u' = ub - u, so
+    its variable begins at its upper bound; `flipped` marks those columns,
+    and `c` stays in terms of u, as the simplex's own reflections keep it.
+    Returns (c, A, b, rels, ub, flipped, const, sign): `A` is the dense
     constraint matrix with one row per constraint, `rels` the relation of
     each row, and `const` and `sign` map c.u back to the original
     objective. A row whose right side comes out negative is negated, with
@@ -178,6 +190,9 @@ def _to_standard_form(lp: LinearProgram):
     const = 0.0
     for coef, lo in zip(c, lp.lower):
         const += coef * lo
+    ub = np.array(lp.upper, dtype=float) - np.array(lp.lower, dtype=float)
+    flipped = np.zeros(lp.n, dtype=bool)
+    flipped[list(lp.start)] = True
 
     A = np.zeros((len(lp.constraints), lp.n))
     rhs = np.zeros(len(lp.constraints))
@@ -185,8 +200,11 @@ def _to_standard_form(lp: LinearProgram):
     for r, con in enumerate(lp.constraints):
         right = con.rhs
         for var, coef in con.coefficients.items():
-            A[r, var] = coef
             right -= coef * lp.lower[var]
+            if flipped[var]:
+                right -= coef * ub[var]
+                coef = -coef
+            A[r, var] = coef
         rel = con.relation
         if right < 0:
             A[r] *= -1.0
@@ -194,9 +212,7 @@ def _to_standard_form(lp: LinearProgram):
             rel = {LE: GE, GE: LE, EQ: EQ}[rel]
         rhs[r] = right
         rels.append(rel)
-
-    ub = np.array(lp.upper, dtype=float) - np.array(lp.lower, dtype=float)
-    return c, A, rhs, rels, ub, const, sign
+    return c, A, rhs, rels, ub, flipped, const, sign
 
 
 def _pivot(T, basis, row, col):
@@ -295,20 +311,21 @@ def solve(lp: LinearProgram, max_iter=MAX_ITER) -> LpSolution:
     """Two-phase bounded-variable primal simplex. Deterministic for a fixed input.
 
     One path for every program: standard form (each variable shifted by
-    its finite lower bound, so x = lower + u at the end), then a tableau
-    with one slack per `<=`/`>=` row and one artificial per `>=`/`=` row
-    (in row order), then phase 1 (maximize minus the sum of the
-    artificials), then phase 2 on the reflected costs. A program with no
-    rows takes the same path; its phase 2 flips each variable whose cost
-    points up to its bound.
+    its finite lower bound, so x = lower + u at the end, and each `start`
+    variable at its upper bound), then a tableau with one slack per
+    `<=`/`>=` row and one artificial per `>=`/`=` row (in row order), then
+    phase 1 (maximize minus the sum of the artificials) if some artificial
+    is positive at the start, then phase 2 on the reflected costs. A
+    program with no rows takes the same path; its phase 2 flips each
+    variable whose cost points up to its bound.
     """
-    c, A, b, rels, ub_std, const, sign = _to_standard_form(lp)
+    c, A, b, rels, ub_std, flipped_std, const, sign = _to_standard_form(lp)
     m_rows, n = A.shape
     n_slack = sum(rel != EQ for rel in rels)
     first_art = n + n_slack
     total = first_art + sum(rel != LE for rel in rels)
     ub = np.concatenate((ub_std, np.full(total - n, math.inf)))
-    flipped = np.zeros(total, dtype=bool)
+    flipped = np.concatenate((flipped_std, np.zeros(total - n, dtype=bool)))
 
     T = np.zeros((m_rows + 1, total + 1))
     T[:m_rows, :n] = A
@@ -325,15 +342,17 @@ def solve(lp: LinearProgram, max_iter=MAX_ITER) -> LpSolution:
             basis[r] = art
             art += 1
 
-    # phase 1: maximize -sum(artificials)
-    cost = np.zeros(total)
-    cost[first_art:] = -1.0
-    _price(T, basis, cost)
-    status, iters = _simplex(T, basis, ub, flipped, total, 0, max_iter)
-    if status == ITERATION_LIMIT:
-        return LpSolution(ITERATION_LIMIT, iterations=iters)
-    if -T[-1, -1] > 1e-7:
-        return LpSolution(INFEASIBLE, iterations=iters)
+    iters = 0
+    if any(bc >= first_art and T[r, -1] > 0.0 for r, bc in enumerate(basis)):
+        # phase 1: maximize -sum(artificials)
+        cost = np.zeros(total)
+        cost[first_art:] = -1.0
+        _price(T, basis, cost)
+        status, iters = _simplex(T, basis, ub, flipped, total, 0, max_iter)
+        if status == ITERATION_LIMIT:
+            return LpSolution(ITERATION_LIMIT, iterations=iters)
+        if -T[-1, -1] > 1e-7:
+            return LpSolution(INFEASIBLE, iterations=iters)
     # drive remaining artificials out of the basis; an artificial with no
     # pivot in its row marks a redundant row and stays basic at value 0
     for r in range(m_rows):

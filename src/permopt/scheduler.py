@@ -12,11 +12,14 @@ repaired by the one subset DP, `_best_order`, which brute force runs too:
 ties go to the lexicographically first best order.
 
 The simplex works to absolute tolerances, so the master is solved on a
-copy of the instance in units of the power of two nearest its largest
-finite weight or capacity, and its bound is multiplied back. Dividing by a
-power of two is exact, and certification compares the total with the bound
-relative to the bound, so an instance's magnitude does not change its
-answer.
+copy of the instance in units of the power of two nearest f(all), the value
+of the last step, and its bound is multiplied back. In those units every
+step value lies in [0, about 1], so the reduced costs that matter stay well
+above the simplex's tolerances however large an arc that carries little
+flow may be. Dividing by a power of two is exact, and certification
+compares the total with the bound relative to the bound, so an instance's
+magnitude does not change its answer. The simplex starts at the identity
+permutation's chain, a vertex of the chain rows, so it needs no phase 1.
 """
 
 from __future__ import annotations
@@ -107,14 +110,17 @@ def chain_positions(h, x) -> list:
 
 
 def _solve_with_cuts(builder, h):
-    """Optimal master LP solution, or SolveError. Its positions must lie in
-    the permutahedron, as the chain rows guarantee; a violated prefix-sum
-    row is a numerical fault. The name is kept for the benchmark tracer
-    until ROADMAP item 4."""
-    sol = lp_solve(builder.build("max"))
+    """Optimal master LP solution, or SolveError. The simplex starts at
+    the identity permutation's chain, h[i][j] = 1 for i <= j: every chain
+    row holds there and every block variable sits at 0, so it needs no
+    phase 1. The positions must lie in the permutahedron, as the chain rows
+    guarantee; a violated prefix-sum row is a numerical fault. The name is
+    kept for the benchmark tracer until ROADMAP item 4."""
+    m = len(h)
+    sol = lp_solve(builder.build("max", start=(h[i][j] for i in range(m) for j in range(i, m))))
     if sol.status != lpmod.OPTIMAL:
         raise SolveError(f"master LP status: {sol.status}")
-    cut = separate_permutahedron(len(h), chain_positions(h, sol.x))
+    cut = separate_permutahedron(m, chain_positions(h, sol.x))
     if cut is not None:
         raise SolveError(f"master LP positions violate {cut.name}")
     return sol
@@ -122,9 +128,11 @@ def _solve_with_cuts(builder, h):
 
 def _unit_scaled(instance: Instance):
     """(copy of the instance with every finite weight or capacity divided by
-    scale, scale), where scale is the power of two nearest the largest one."""
-    values = instance.data.values.values()
-    top = max((v for v in values if math.isfinite(v)), default=0.0)
+    scale, scale), where scale is the power of two nearest f(all), the
+    value of the last step; InstanceError if f(all) overflows a float."""
+    top = instance.data.value(instance.data.elements)
+    if not math.isfinite(top):
+        raise InstanceError(f"the value of all elements overflows a float ({top})")
     if top == 0.0:
         return instance, 1.0
     scale = 2.0 ** min(round(math.log2(top)), 1023)  # 2.0 ** 1024 overflows

@@ -6,8 +6,10 @@ combinatorial oracle (matching by enumeration, flow by augmenting paths),
 and `emit`, the per-step LP block coupled to a chain column, whose values
 the oracle cross-checks. Alongside them sit `elements` (id -> endpoints),
 `values` (id -> weight or capacity), `support` (the elements of one optimal
-solution) and `scaled` (a copy in other units). `Instance` holds exactly
-one family object, so the solvers never ask which family they run on.
+solution), `grow` (the value once more elements become usable, from the
+state of a previous call, which `subset_values` walks the subsets with)
+and `scaled` (a copy in other units). `Instance` holds exactly one family
+object, so the solvers never ask which family they run on.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .lp import EQ, LE, LinearConstraint
 
@@ -60,6 +63,13 @@ class MatchingInstance:
     def support(self, usable) -> set:
         """Edges of the max-weight matching that `best_matching` picks."""
         return set(best_matching(self, usable)[1])
+
+    def grow(self, state, added):
+        """(value, state) once the edges `added` become usable too; a state
+        is the usable edge set (None: no edge yet), and each value is a
+        fresh enumeration."""
+        usable = (state or frozenset()) | frozenset(added)
+        return self.value(usable), usable
 
     def scaled(self, scale: float) -> MatchingInstance:
         return replace(self, weights={e: w / scale for e, w in self.weights.items()})
@@ -150,6 +160,28 @@ class FlowInstance:
     def support(self, usable) -> set:
         """Arcs carrying flow in the `max_flow` run, by its per-arc zero test."""
         return {a for a, f in max_flow(self, usable)[1].items() if f > 1e-12 * self.finite_cap(a)}
+
+    def grow(self, state, added):
+        """(value, state) once the arcs `added` become usable too. A state
+        is (value, residual, flow), indexed like `network.arcs`, and holds a
+        max flow over the usable arcs (None: the zero flow, no arc usable);
+        that flow stays feasible with more arcs, so `_augment` starts from
+        it. The state passed in is not changed."""
+        net = self.network
+        if state is None:
+            value, residual, flow = 0.0, [0.0] * len(net.arcs), [0.0] * len(net.arcs)
+        else:
+            value, residual, flow = state[0], list(state[1]), list(state[2])
+        for a in added:
+            k = net.index[a]
+            residual[k] = net.caps[k] - flow[k]
+        value = _augment(net, residual, flow, value)
+        return value, (value, residual, flow)
+
+    @cached_property
+    def network(self) -> FlowNetwork:
+        """Adjacency of every arc, built once per instance."""
+        return FlowNetwork(self)
 
     def scaled(self, scale: float) -> FlowInstance:
         return replace(self, capacities={a: c / scale for a, c in self.capacities.items()})
@@ -260,58 +292,81 @@ def _matchings(inst: MatchingInstance, avail):
     yield from rec(0, frozenset(), [], 0.0)
 
 
-def max_flow(inst: FlowInstance, available):
-    """Edmonds-Karp over the available arcs.
+class FlowNetwork:
+    """Adjacency of a `FlowInstance` with arcs at positions 0.. in ascending
+    id: `arcs` (ids), `index` (id -> position), `caps` (finite capacities),
+    `ends` ((tail, head) per position), and per node the arcs leaving it
+    (`out`) and entering it (`into`) as (position, other end, zero), where
+    zero = 1e-12 of the arc's capacity is the largest residual or flow
+    that counts as none."""
 
-    Adjacency is scanned in ascending arc id and residual (reverse) arcs
-    after all forward arcs, so the run, and the support of the returned
-    flow, are deterministic. A residual or flow at or below 1e-12 of its
-    arc's capacity counts as zero, so the run is scale-free. Returns
-    (value, flow dict arc id -> flow).
+    def __init__(self, inst: FlowInstance):
+        self.source, self.sink = inst.source, inst.sink
+        self.arcs = tuple(sorted(inst.arcs))
+        self.index = {a: k for k, a in enumerate(self.arcs)}
+        self.caps = [inst.finite_cap(a) for a in self.arcs]
+        self.ends = [inst.arcs[a] for a in self.arcs]
+        self.out, self.into = {}, {}
+        for k, (t, h) in enumerate(self.ends):
+            zero = 1e-12 * self.caps[k]
+            self.out.setdefault(t, []).append((k, h, zero))
+            self.into.setdefault(h, []).append((k, t, zero))
+
+
+def max_flow(inst: FlowInstance, available):
+    """Edmonds-Karp over the available arcs, from the zero flow.
+
+    Returns (value, flow dict arc id -> flow over the available arcs); the
+    run is `_augment`'s, so its support is deterministic and scale-free.
     """
     avail = sorted(set(available))
-    residual = {a: inst.finite_cap(a) for a in avail}
-    flow = {a: 0.0 for a in avail}
-    out_arcs = {}
-    in_arcs = {}
-    for a in avail:
-        t, h = inst.arcs[a]
-        zero = 1e-12 * residual[a]
-        out_arcs.setdefault(t, []).append((a, h, zero))
-        in_arcs.setdefault(h, []).append((a, t, zero))
+    value, (_, _, flow) = inst.grow(None, avail)
+    index = inst.network.index
+    return value, {a: flow[index[a]] for a in avail}
 
-    value = 0.0
+
+def _augment(net: FlowNetwork, residual, flow, value) -> float:
+    """Edmonds-Karp from a feasible flow of value `value`: augment along
+    shortest paths until none is left, updating `residual` and `flow` (by
+    arc position) in place, and return the max flow value.
+
+    Adjacency is scanned in ascending arc id and residual (reverse) arcs
+    after all forward arcs, so the run is deterministic. A residual or flow
+    at or below 1e-12 of its arc's capacity counts as zero, so the run is
+    scale-free; an arc that is not usable has residual 0 and flow 0.
+    """
+    source, sink = net.source, net.sink
     while True:
         # BFS for a shortest augmenting path; parent[node] = (arc, forward?)
-        parent = {inst.source: None}
-        queue = deque([inst.source])
-        while queue and inst.sink not in parent:
+        parent = {source: None}
+        queue = deque([source])
+        while queue and sink not in parent:
             u = queue.popleft()
-            for a, h, zero in out_arcs.get(u, ()):
-                if h not in parent and residual[a] > zero:
-                    parent[h] = (a, True)
+            for k, h, zero in net.out.get(u, ()):
+                if h not in parent and residual[k] > zero:
+                    parent[h] = (k, True)
                     queue.append(h)
-            for a, t, zero in in_arcs.get(u, ()):
-                if t not in parent and flow[a] > zero:
-                    parent[t] = (a, False)
+            for k, t, zero in net.into.get(u, ()):
+                if t not in parent and flow[k] > zero:
+                    parent[t] = (k, False)
                     queue.append(t)
-        if inst.sink not in parent:
-            return value, flow
+        if sink not in parent:
+            return value
         path = []
-        node = inst.sink
+        node = sink
         bottleneck = math.inf
         while parent[node] is not None:
-            a, fwd = parent[node]
-            path.append((a, fwd))
-            bottleneck = min(bottleneck, residual[a] if fwd else flow[a])
-            node = inst.arcs[a][0] if fwd else inst.arcs[a][1]
-        for a, fwd in path:
+            k, fwd = parent[node]
+            path.append((k, fwd))
+            bottleneck = min(bottleneck, residual[k] if fwd else flow[k])
+            node = net.ends[k][0] if fwd else net.ends[k][1]
+        for k, fwd in path:
             if fwd:
-                residual[a] -= bottleneck
-                flow[a] += bottleneck
+                residual[k] -= bottleneck
+                flow[k] += bottleneck
             else:
-                residual[a] += bottleneck
-                flow[a] -= bottleneck
+                residual[k] += bottleneck
+                flow[k] -= bottleneck
         value += bottleneck
 
 
@@ -325,13 +380,26 @@ def step_value(instance: Instance, available) -> float:
 
 def subset_values(instance: Instance) -> list:
     """step_value of every subset of the orderable elements, indexed by
-    bitmask: bit i of the index stands for instance.orderable[i]."""
+    bitmask: bit i of the index stands for instance.orderable[i].
+
+    The subsets are walked depth-first, each child its parent plus one
+    higher element, and the family's `grow` takes each child from its
+    parent's state, so only the m states on the current path are held.
+    """
     m = instance.m
     if m > SUBSET_GUARD:
         raise InstanceError(f"m={m} exceeds subset-table guard {SUBSET_GUARD}")
-    elems = instance.orderable
-    return [step_value(instance, [elems[i] for i in range(m) if mask >> i & 1])
-            for mask in range(1 << m)]
+    elems, data = instance.orderable, instance.data
+    table = [0.0] * (1 << m)
+
+    def visit(mask, low, state):
+        for i in range(low, m):
+            table[mask | 1 << i], child = data.grow(state, (elems[i],))
+            visit(mask | 1 << i, i + 1, child)
+
+    table[0], root = data.grow(None, instance.fixed)
+    visit(0, 0, root)
+    return table
 
 
 def emit_step(instance: Instance, j: int, h_vars, builder):

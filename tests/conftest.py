@@ -2,9 +2,18 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
-from permopt.subproblems import FlowInstance, MatchingInstance, make_instance, subset_values
+from permopt.lp import EQ, GE
+from permopt.subproblems import (
+    FlowInstance,
+    InstanceError,
+    MatchingInstance,
+    make_instance,
+    step_value,
+    subset_values,
+)
 
 
 def random_matching_instance(rng: random.Random, m: int):
@@ -41,6 +50,58 @@ def random_flow_instance(rng: random.Random, m: int, n_fixed: int = 1):
         eid += 1
     data = FlowInstance(arcs, caps, 0, 1)
     return make_instance(data, fixed_ids)
+
+
+def random_network_instance(rng: random.Random, m: int, n_fixed: int):
+    """Random s-t network with m orderable arcs and n_fixed fixed ones (the
+    first ids), between any two of nodes 0..4 (source 0, sink 1), so arcs
+    may enter the source or leave the sink. Capacities are 0, inf or 1..10,
+    and every third arc repeats the ends of an earlier one. A draw whose
+    uncapacitated arcs join the source to the sink is drawn again."""
+    while True:
+        arcs, caps = {}, {}
+        for a in range(m + n_fixed):
+            if a % 3 == 2:
+                arcs[a] = arcs[rng.randrange(a)]
+            else:
+                arcs[a] = tuple(rng.sample(range(5), 2))
+            caps[a] = rng.choice([0.0, math.inf] + [float(c) for c in range(1, 11)])
+        try:
+            return make_instance(FlowInstance(arcs, caps, 0, 1), range(n_fixed))
+        except InstanceError:
+            continue
+
+
+def per_set_values(instance):
+    """step_value of every subset of the orderable elements, one oracle
+    call per set, indexed by bitmask: the reference for `subset_values`."""
+    elems = instance.orderable
+    return [step_value(instance, [e for i, e in enumerate(elems) if mask >> i & 1])
+            for mask in range(2 ** instance.m)]
+
+
+def highs_optimum(lp):
+    """Optimum of a `LinearProgram` by HiGHS (scipy), the tests' independent
+    reference; the calling test is skipped where scipy is missing."""
+    optimize = pytest.importorskip("scipy.optimize")
+    a_ub, b_ub, a_eq, b_eq = [], [], [], []
+    for con in lp.constraints:
+        sign = -1.0 if con.relation == GE else 1.0
+        row = np.zeros(lp.n)
+        for var, coef in con.coefficients.items():
+            row[var] = sign * coef
+        a, b = (a_eq, b_eq) if con.relation == EQ else (a_ub, b_ub)
+        a.append(row)
+        b.append(sign * con.rhs)
+    sense = -1.0 if lp.sense == "max" else 1.0
+    bounds = [(None if math.isinf(lo) else lo, None if math.isinf(hi) else hi)
+              for lo, hi in zip(lp.lower, lp.upper)]
+    res = optimize.linprog(sense * np.array(lp.objective),
+                           A_ub=np.array(a_ub) if a_ub else None, b_ub=b_ub or None,
+                           A_eq=np.array(a_eq) if a_eq else None, b_eq=b_eq or None,
+                           bounds=bounds, method="highs")
+    assert res.status == 0, res.message
+    return sense * res.fun
 
 
 def random_coverage_function(rng: random.Random, m: int, universe: int = 12):

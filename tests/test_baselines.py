@@ -41,6 +41,17 @@ class TestGreedyOptimalFirst:
     def test_totals(self, name, total):
         assert greedy_optimal_first(bundled_instance(name)).total == pytest.approx(total)
 
+    # the order reads the support of one `max_flow` or `best_matching` run
+    @pytest.mark.parametrize("name,order", [
+        ("g1", (0, 2, 1)),
+        ("g2", (1, 3, 0, 2)),
+        ("d1", (3, 4, 5)),
+        ("d2", (3, 5, 4, 6)),
+        ("d3", (1, 2, 3, 4, 5, 6, 7, 8)),
+    ])
+    def test_bundled_orders(self, name, order):
+        assert greedy_optimal_first(bundled_instance(name)).order == order
+
     def test_g1_realizes_outer_edges_first(self):
         s = greedy_optimal_first(bundled_instance("g1"))
         assert set(s.order[:2]) == {0, 2}

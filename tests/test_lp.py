@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from conftest import random_flow_instance
 from permopt import lp as lpmod
 from permopt.lp import (
     EQ,
@@ -20,6 +21,7 @@ from permopt.lp import (
     solve,
     verify,
 )
+from permopt.scheduler import build_master_lp
 
 
 def simple_lp(sense="max"):
@@ -84,6 +86,45 @@ def test_bad_bounds_rejected():
                          (0.0, math.nan)]:
         with pytest.raises(LpError):
             LinearProgram(1, [lower], [upper], [0.0], "max")
+
+
+def test_start_variables_need_a_declared_finite_upper_bound():
+    for start in ({-1}, {2}, {1}):  # out of range, out of range, upper bound inf
+        with pytest.raises(LpError, match="start variable"):
+            LinearProgram(2, [0.0, 0.0], [1.0, math.inf], [0.0, 0.0], "max", start=start)
+    b = LpBuilder()
+    b.add_var("x", 0.0, math.inf)
+    with pytest.raises(LpError, match="start variable"):
+        b.build("max", start=[0])
+
+
+def test_start_at_an_optimal_vertex_takes_no_iteration():
+    # max x + y + z s.t. x + y = 1, y - z >= 0, all in [0, 1]: starting at
+    # x = 0, y = z = 1 every row holds with its artificial at 0, so there is
+    # no phase 1, and no reduced cost improves, so there is no pivot
+    b = LpBuilder()
+    x, y, z = (b.add_var(name, 0.0, 1.0, objective=1.0) for name in "xyz")
+    b.add(LinearConstraint({x: 1.0, y: 1.0}, EQ, 1.0))
+    b.add(LinearConstraint({y: 1.0, z: -1.0}, GE, 0.0))
+    lp = b.build("max", start=[y, z])
+    sol = solve(lp)
+    assert sol.status == OPTIMAL
+    assert sol.iterations == 0
+    assert sol.objective == pytest.approx(2.0, abs=1e-12)
+    assert sol.x == pytest.approx([0.0, 1.0, 1.0], abs=1e-12)
+    assert verify(lp, sol)
+    # from the default start, every variable at its lower bound, it pivots
+    assert solve(b.build("max")).iterations > 0
+
+
+def test_identity_chain_start_saves_iterations_on_a_flow_master():
+    inst = random_flow_instance(random.Random(8), 8)
+    builder, h = build_master_lp(inst)
+    chain = [h[i][j] for i in range(inst.m) for j in range(i, inst.m)]
+    cold, warm = solve(builder.build("max")), solve(builder.build("max", start=chain))
+    assert cold.status == warm.status == OPTIMAL
+    assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
+    assert warm.iterations < cold.iterations
 
 
 def test_equality_and_a_negative_lower_bound():

@@ -1,9 +1,10 @@
+import itertools
 import random
 from dataclasses import replace
 
 import pytest
 
-from conftest import random_flow_instance, random_matching_instance, walked
+from conftest import highs_optimum, random_flow_instance, random_matching_instance, walked
 from permopt.baselines import brute_force
 from permopt.instance_io import bundled_instance
 from permopt import scheduler
@@ -18,6 +19,7 @@ from permopt.scheduler import (
     CUTTING_PLANE,
     EXTENDED,
     Schedule,
+    VALUE_TOL,
     SolveError,
     _repair_subset_dp,
     build_master_lp,
@@ -216,6 +218,14 @@ class TestSolveSchedule:
         with pytest.raises(InstanceError, match="overflows"):
             solve_schedule(make_instance(data, []))
 
+    def test_overflowing_value_of_all_elements_raises(self):
+        # no weight overflows, but the two disjoint edges together do, so
+        # the master's unit, the value of all elements, is inf
+        data = MatchingInstance({0: (0, 1), 1: (2, 3)}, {0: 1.7e308, 1: 1.7e308},
+                                frozenset({0, 2}))
+        with pytest.raises(InstanceError, match="overflows"):
+            solve_schedule(make_instance(data, []))
+
     def test_no_orderable_element(self):
         data = FlowInstance({0: (0, 2), 1: (2, 1)}, {0: 3.0, 1: 2.0}, 0, 1)
         s = solve_schedule(make_instance(data, [0, 1]))
@@ -236,13 +246,66 @@ class TestSolveSchedule:
         inst = make_instance(data, [])
         s = solve_schedule(inst)
         assert s.total == brute_force(inst).total == pytest.approx(3 * unit, rel=1e-12)
-        assert s.lp_bound == pytest.approx(3 * unit, rel=1e-9)
         assert (s.certified, s.repaired) == (True, True)
+        # the bound is the master program's optimum as HiGHS computes it,
+        # 3.5 units: a fractional order builds half of arcs 1 and 3 in step 1
+        ref = highs_optimum(build_master_lp(inst)[0].build("max"))
+        assert ref == pytest.approx(3.5 * unit, rel=1e-9)
+        assert s.lp_bound == pytest.approx(ref, rel=1e-9)
 
     def test_master_lp_failure_raises(self, monkeypatch):
         monkeypatch.setattr(scheduler, "lp_solve", lambda lp: LpSolution(ITERATION_LIMIT))
         with pytest.raises(SolveError, match="iteration_limit"):
             solve_schedule(bundled_instance("g1"))
+
+
+def spiked(instance, factor, rng):
+    """The instance with one weight or capacity, drawn by rng, multiplied
+    by factor."""
+    data = instance.data
+    e = rng.choice(sorted(data.values))
+    values = {**data.values, e: data.values[e] * factor}
+    field = "weights" if instance.family == "matching" else "capacities"
+    return replace(instance, data=replace(data, **{field: values}))
+
+
+def assert_optimal_or_typed_error(instance):
+    """solve_schedule gives brute force's total within VALUE_TOL of it, or
+    raises a typed error; no other exception passes."""
+    try:
+        s = solve_schedule(instance)
+    except (SolveError, InstanceError):
+        return
+    assert s.total == pytest.approx(brute_force(instance).total, rel=VALUE_TOL, abs=0.0)
+
+
+class TestWideRange:
+    """Values spread over many orders of magnitude within one instance. In
+    units of the largest capacity, a huge arc made every useful reduced
+    cost smaller than the simplex's tolerance, which certified short
+    totals or raised an untyped ValueError."""
+
+    @pytest.mark.parametrize("big,unit", [
+        (1e9, 1.0), (1e6, 1e-3), (1e7, 1e-3), (1e10, 1.0), (1e5, 1e-4), (3e9, 2.0),
+    ])
+    def test_dead_end_arc_under_every_id_order(self, big, unit):
+        # the network of test_gap_judged_against_the_bound, its four arcs
+        # given the ids 0..3 in every order
+        ends = ((0, 3), (0, 2), (3, 4), (2, 1))
+        caps = (big, unit, unit, unit)
+        for ids in itertools.permutations(range(4)):
+            data = FlowInstance(dict(zip(ids, ends)), dict(zip(ids, caps)), 0, 1)
+            assert_optimal_or_typed_error(make_instance(data, []))
+
+    @pytest.mark.parametrize("k", [6, -6, 8, -8, 9, -9, 10, -10, 11, -11, 12, -12])
+    @pytest.mark.parametrize("make,seeds", [(random_matching_instance, 2),
+                                            (random_flow_instance, 3)],
+                             ids=["matching", "flow"])
+    def test_one_value_scaled_by_a_power_of_ten(self, make, seeds, k):
+        for m in range(3, 8):
+            for seed in range(seeds):
+                rng = random.Random(f"{make.__name__}/{m}/{k}/{seed}")
+                assert_optimal_or_typed_error(spiked(make(rng, m), 10.0 ** k, rng))
 
 
 class TestRepairSubsetDp:

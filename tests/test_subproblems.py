@@ -5,7 +5,12 @@ import random
 
 import pytest
 
-from conftest import random_flow_instance
+from conftest import (
+    per_set_values,
+    random_flow_instance,
+    random_matching_instance,
+    random_network_instance,
+)
 from permopt.instance_io import bundled_instance
 from permopt.lp import OPTIMAL, LpBuilder, solve
 from permopt.scheduler import solve_schedule
@@ -121,6 +126,33 @@ class TestSubsetValues:
             subset = [e for i, e in enumerate(inst.orderable) if mask >> i & 1]
             assert table[mask] == step_value(inst, subset)
         assert table[0] == step_value(inst, ())
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    @pytest.mark.parametrize("n_fixed", [0, 1, 2])
+    def test_equals_the_per_set_loop(self, m, n_fixed):
+        # the table grows each set's max flow from its parent's; the loop
+        # solves every set from the zero flow, and integral capacities make
+        # the two agree exactly
+        for seed in range(3):
+            rng = random.Random(f"table/{m}/{n_fixed}/{seed}")
+            for inst in (random_network_instance(rng, m, n_fixed),
+                         random_flow_instance(rng, m, n_fixed),
+                         random_matching_instance(rng, m)):
+                assert subset_values(inst) == per_set_values(inst)
+
+    def test_network_draws_hold_every_kind_of_arc(self):
+        # what test_equals_the_per_set_loop relies on its networks to hold
+        seen = set()
+        for seed in range(3):
+            for n_fixed in (0, 1, 2):
+                rng = random.Random(f"table/8/{n_fixed}/{seed}")
+                data = random_network_instance(rng, 8, n_fixed).data
+                ends = list(data.arcs.values())
+                seen |= {"zero" for c in data.capacities.values() if c == 0.0}
+                seen |= {"inf" for c in data.capacities.values() if math.isinf(c)}
+                seen |= {"into source" for _, head in ends if head == data.source}
+                seen |= {"parallel" for a in ends if ends.count(a) > 1}
+        assert seen == {"zero", "inf", "into source", "parallel"}
 
 
 def step_lp_value(instance: Instance, subset) -> float:
