@@ -1,49 +1,52 @@
 """Greedy baselines, the brute-force ordering oracle, and the unconstrained
 monotone-submodular greedy with its approximation-ratio lower bound.
 
-All greedies run one marginal-gain loop (`_greedy`) over a value function
-they pass in. Both brute forces find the lexicographically first best
-order with `scheduler._best_order`, the subset DP that also repairs the
-master LP's order, over a bitmask-indexed table of subset values, in
-O(m·2^m) steps instead of walking all m! orders; for instances that table
-is `subproblems.subset_values`.
+All greedies run one marginal-gain loop (`_greedy`) that grows each
+candidate from the realized set's state with a `grow` they pass in: the
+family's for instances, one over tuples for set functions. Brute force is
+the repair, `scheduler._repair_subset_dp`, behind a guard on m. Both brute
+forces take the lexicographically first best order of `scheduler._best_order`,
+a subset DP over a bitmask table of subset values in O(m·2^m) steps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 from .perms import Permutation
-from .scheduler import Schedule, _best_order, evaluate_schedule
-from .subproblems import Instance, step_value, subset_values
+from .scheduler import Schedule, _best_order, _repair_subset_dp, evaluate_schedule
+from .subproblems import Instance, step_value  # step_value: only the benchmark tracer wraps it
 
 BRUTE_FORCE_GUARD = 9
 
 
 class GuardError(Exception):
-    """Problem size exceeds an enumeration guard."""
+    """Problem size exceeds a guard on the exponential exact methods."""
 
 
-def _greedy(value, pools) -> list:
-    """Realize, pool after pool, the element of the current pool with the
-    best marginal gain under `value`; ties broken by smallest element id."""
+def _greedy(grow, root, pools) -> list:
+    """Realize, pool after pool, the element of the current pool with the best
+    marginal gain, growing each candidate from the realized set's (value,
+    state), first `root`, by `grow`; ties broken by smallest element id."""
     chosen = []
-    base = value(chosen)
+    base, state = root
     for pool in pools:
         pool = list(pool)
         while pool:
-            gains = {e: value(chosen + [e]) for e in pool}
-            pick = max(pool, key=lambda e: (gains[e] - base, -e))
+            grown = {e: grow(state, (e,)) for e in pool}
+            pick = max(pool, key=lambda e: (grown[e][0] - base, -e))
             chosen.append(pick)
             pool.remove(pick)
-            base = gains[pick]
+            base, state = grown[pick]
     return chosen
 
 
 def greedy_marginal(instance: Instance) -> Schedule:
     """At each step realize the element with the best marginal gain,
     ties broken by smallest element id."""
-    order = _greedy(lambda s: step_value(instance, s), [instance.orderable])
+    grow = instance.data.grow
+    order = _greedy(grow, grow(None, instance.fixed), [instance.orderable])
     return _from_order(instance, order, "greedy-marginal")
 
 
@@ -53,23 +56,22 @@ def greedy_optimal_first(instance: Instance) -> Schedule:
     by marginal gain."""
     support = instance.data.support(instance.data.elements) & set(instance.orderable)
     rest = [e for e in instance.orderable if e not in support]
-    order = _greedy(lambda s: step_value(instance, s), [sorted(support), rest])
+    grow = instance.data.grow
+    order = _greedy(grow, grow(None, instance.fixed), [sorted(support), rest])
     return _from_order(instance, order, "greedy-first")
 
 
 def brute_force(instance: Instance) -> Schedule:
-    """Exact optimum by a subset DP over every realized subset; ties
-    resolved by the lexicographically first best realization order."""
+    """Exact optimum, the lexicographically first best realization order:
+    the repair's subset DP, for m up to BRUTE_FORCE_GUARD."""
     if instance.m > BRUTE_FORCE_GUARD:
         raise GuardError(f"m={instance.m} exceeds brute-force guard {BRUTE_FORCE_GUARD}")
-    order = _best_order(subset_values(instance), instance.m)[1]
-    return evaluate_schedule(instance, Permutation.from_order(order), "brute")
+    return replace(_repair_subset_dp(instance), method="brute")
 
 
 def _from_order(instance: Instance, order, method) -> Schedule:
     index = {e: i for i, e in enumerate(instance.orderable)}
-    p = Permutation.from_order([index[e] for e in order])
-    return evaluate_schedule(instance, p, method)
+    return evaluate_schedule(instance, Permutation.from_order([index[e] for e in order]), method)
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +89,8 @@ class SetFunctionSpec:
     def __post_init__(self):
         if self.kind not in ("additive", "coverage"):
             raise ValueError(f"unknown kind {self.kind!r}")
-        if self.kind == "additive" and any(w < 0 for w in self.weights):
-            raise ValueError("additive weights must be nonnegative for monotonicity")
+        if self.kind == "additive" and not all(math.isfinite(w) and w >= 0 for w in self.weights):
+            raise ValueError("additive weights must be finite and nonnegative for monotonicity")
 
     @property
     def m(self) -> int:
@@ -106,9 +108,10 @@ class SetFunctionSpec:
 def submodular_greedy(f: SetFunctionSpec) -> Schedule:
     """Greedy ordering by marginal gain; with no feasibility constraint the
     step-j value is simply f of the first j elements."""
-    m = f.m
-    chosen = _greedy(f.value, [range(m)])
-    values = [f.value(chosen[:j]) for j in range(1, m + 1)]
+    def grow(chosen, added):
+        return f.value(chosen + added), chosen + added
+    chosen = _greedy(grow, grow((), ()), [range(f.m)])
+    values = [f.value(chosen[:j]) for j in range(1, f.m + 1)]
     p = Permutation.from_order(chosen)
     return Schedule(p, tuple(values), sum(values), "greedy-marginal", order=tuple(chosen))
 
@@ -116,12 +119,15 @@ def submodular_greedy(f: SetFunctionSpec) -> Schedule:
 def brute_force_set_function(f: SetFunctionSpec) -> float:
     """Exact optimum of the cumulative value over all orderings, by the
     subset DP of `brute_force`: the total of the lexicographically first
-    best order."""
+    best order; ValueError if that total overflows a float."""
     m = f.m
     if m > BRUTE_FORCE_GUARD:
         raise GuardError(f"m={m} exceeds brute-force guard {BRUTE_FORCE_GUARD}")
     table = [f.value([i for i in range(m) if mask >> i & 1]) for mask in range(1 << m)]
-    return _best_order(table, m)[0]
+    total = _best_order(table, m)[0]
+    if not math.isfinite(total):
+        raise ValueError(f"the cumulative value is not finite (total {total})")
+    return total
 
 
 def ratio_bound(m: int) -> float:

@@ -36,7 +36,8 @@ from .perms import (
     permutation_from_point,
     separate_permutahedron,
 )
-from .subproblems import Instance, InstanceError, emit_step, step_value, subset_values
+from .subproblems import Instance, InstanceError, emit_step, subset_values
+from .subproblems import step_value  # unused here: only the benchmark tracer wraps it
 
 # Two names for the one master program, kept so existing callers still work.
 EXTENDED = "extended"
@@ -62,6 +63,8 @@ class Schedule:
     repaired: bool = False
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (*self.step_values, self.total)):
+            raise ValueError(f"a step value or the total {self.total} is not finite")
         if abs(self.total - sum(self.step_values)) > 1e-9 * abs(self.total):
             raise ValueError(f"total {self.total} is not the sum of the step values")
         for a, b in zip(self.step_values, self.step_values[1:]):
@@ -73,14 +76,14 @@ class Schedule:
 
 
 def evaluate_schedule(instance: Instance, p: Permutation, method="evaluated") -> Schedule:
-    """Cumulative value of a fixed ordering, straight from the oracles;
-    InstanceError if the total overflows a float."""
+    """Cumulative value of a fixed ordering from one walk of the oracle's
+    `grow` from the fixed elements; InstanceError if the total overflows."""
     order = [instance.orderable[i] for i in p.order()]
-    values = []
-    realized = set()
+    grow, values = instance.data.grow, []
+    state = grow(None, instance.fixed)[1]
     for e in order:
-        realized.add(e)
-        values.append(step_value(instance, realized))
+        value, state = grow(state, (e,))
+        values.append(value)
     total = sum(values)
     if not math.isfinite(total):
         raise InstanceError(f"the cumulative value overflows a float (total {total})")

@@ -1,14 +1,15 @@
 """Subproblem families: bipartite max-weight matching and s-t max flow.
 
 A family is one data class, `MatchingInstance` or `FlowInstance`, and each
-class carries both faces of its subproblem: `value`, an independent
-combinatorial oracle (matching by enumeration, flow by augmenting paths),
-and `emit`, the per-step LP block coupled to a chain column, whose values
-the oracle cross-checks. Alongside them sit `elements` (id -> endpoints),
-`values` (id -> weight or capacity), `support` (the elements of one optimal
-solution), `grow` (the value once more elements become usable, from the
-state of a previous call, which `subset_values` walks the subsets with)
-and `scaled` (a copy in other units). `Instance` holds exactly one family
+class carries both faces of its subproblem: `grow(state, added)`, an
+independent combinatorial oracle (matching by enumeration, flow by
+augmenting paths) that gives the value once `added` become usable too and
+the state to grow on from, and `emit`, the per-step LP block coupled to a
+chain column, whose values the oracle cross-checks. Every solver reads
+values by walking `grow` along its own chain of sets: `subset_values`,
+`scheduler.evaluate_schedule` and the greedies. `value` and `support` (one
+cold run's value and optimal elements), `elements`, `values` and `scaled`
+(a copy in other units) sit alongside. `Instance` holds exactly one family
 object, so the solvers never ask which family they run on.
 """
 
@@ -155,11 +156,12 @@ class FlowInstance:
 
     def value(self, usable) -> float:
         """Max s-t flow value over the usable arcs."""
-        return max_flow(self, usable)[0]
+        return self.grow(None, usable)[0]
 
     def support(self, usable) -> set:
-        """Arcs carrying flow in the `max_flow` run, by its per-arc zero test."""
-        return {a for a, f in max_flow(self, usable)[1].items() if f > 1e-12 * self.finite_cap(a)}
+        """Arcs whose flow in `grow`'s run exceeds 1e-12 of their capacity."""
+        net, flow = self.network, self.grow(None, usable)[1][2]
+        return {a for a, f, cap in zip(net.arcs, flow, net.caps) if f > 1e-12 * cap}
 
     def grow(self, state, added):
         """(value, state) once the arcs `added` become usable too. A state
@@ -210,7 +212,7 @@ class FlowInstance:
             coefs = {var: c for var, c in coefs.items() if c != 0.0}
             if coefs:
                 builder.add(LinearConstraint(coefs, EQ, 0.0, name=f"conserve{j}[{node}]"))
-        # net outflow of the source, the value max_flow counts
+        # net outflow of the source, the value `grow` counts
         for a, (t, h) in sorted(self.arcs.items()):
             if t == self.source:
                 builder.set_objective(f[a], 1.0)
@@ -311,18 +313,6 @@ class FlowNetwork:
             zero = 1e-12 * self.caps[k]
             self.out.setdefault(t, []).append((k, h, zero))
             self.into.setdefault(h, []).append((k, t, zero))
-
-
-def max_flow(inst: FlowInstance, available):
-    """Edmonds-Karp over the available arcs, from the zero flow.
-
-    Returns (value, flow dict arc id -> flow over the available arcs); the
-    run is `_augment`'s, so its support is deterministic and scale-free.
-    """
-    avail = sorted(set(available))
-    value, (_, _, flow) = inst.grow(None, avail)
-    index = inst.network.index
-    return value, {a: flow[index[a]] for a in avail}
 
 
 def _augment(net: FlowNetwork, residual, flow, value) -> float:

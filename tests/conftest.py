@@ -80,6 +80,30 @@ def per_set_values(instance):
             for mask in range(2 ** instance.m)]
 
 
+def cold_greedy(instance, pools) -> list:
+    """Realize, pool after pool, the element of the current pool with the
+    best marginal gain, reading each set's value by one cold `step_value`
+    call; ties broken by smallest element id. The reference for the
+    greedies, which grow each candidate from the realized set's state."""
+    chosen = []
+    base = step_value(instance, chosen)
+    for pool in pools:
+        pool = list(pool)
+        while pool:
+            gains = {e: step_value(instance, chosen + [e]) for e in pool}
+            pick = max(pool, key=lambda e: (gains[e] - base, -e))
+            chosen.append(pick)
+            pool.remove(pick)
+            base = gains[pick]
+    return chosen
+
+
+def prefix_values(instance, order) -> tuple:
+    """step_value of each prefix of an order of element ids, one cold oracle
+    call per prefix: the reference for a schedule's step values."""
+    return tuple(step_value(instance, order[:j]) for j in range(1, len(order) + 1))
+
+
 def highs_optimum(lp):
     """Optimum of a `LinearProgram` by HiGHS (scipy), the tests' independent
     reference; the calling test is skipped where scipy is missing."""

@@ -1,13 +1,17 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
 from conftest import (
+    cold_greedy,
     enumerated_best_order,
+    prefix_values,
     random_coverage_function,
     random_flow_instance,
     random_matching_instance,
+    random_network_instance,
     set_function_table,
 )
 from permopt.baselines import (
@@ -22,7 +26,7 @@ from permopt.baselines import (
     submodular_greedy,
 )
 from permopt.instance_io import bundled_instance
-from permopt.scheduler import evaluate_schedule
+from permopt.scheduler import _repair_subset_dp, evaluate_schedule
 from permopt.subproblems import FlowInstance, MatchingInstance, make_instance, subset_values
 from test_scheduler import order_to_perm
 
@@ -35,13 +39,24 @@ class TestGreedyMarginal:
     def test_g1_picks_heavy_edge_first(self):
         assert greedy_marginal(bundled_instance("g1")).order[0] == 1
 
+    @pytest.mark.parametrize("name,order", [
+        ("g1", (1, 0, 2)),
+        ("g2", (0, 2, 1, 3)),
+        ("d1", (5, 3, 4)),
+        ("d2", (3, 5, 4, 6)),
+        ("d3", (1, 2, 3, 4, 5, 6, 7, 8)),
+    ])
+    def test_bundled_orders(self, name, order):
+        assert greedy_marginal(bundled_instance(name)).order == order
+
 
 class TestGreedyOptimalFirst:
     @pytest.mark.parametrize("name,total", [("g1", 5.0), ("g2", 7.0), ("d1", 5.0)])
     def test_totals(self, name, total):
         assert greedy_optimal_first(bundled_instance(name)).total == pytest.approx(total)
 
-    # the order reads the support of one `max_flow` or `best_matching` run
+    # the order reads the support of one cold run of the family's oracle:
+    # `grow` from the zero flow, or `best_matching`
     @pytest.mark.parametrize("name,order", [
         ("g1", (0, 2, 1)),
         ("g2", (1, 3, 0, 2)),
@@ -94,6 +109,50 @@ class TestBruteForce:
             best = brute_force(inst).total
             assert greedy_marginal(inst).total <= best + 1e-9
             assert greedy_optimal_first(inst).total <= best + 1e-9
+
+
+def walk_instances(m):
+    """Matchings, flows with 0-2 fixed arcs and networks with zero and
+    uncapacitated arcs, parallel arcs and arcs into the source, at m
+    orderable elements; integral values, so a walk that grows each set's
+    value from its predecessor's reads exactly the cold oracle's values."""
+    for seed in range(3):
+        rng = random.Random(f"walk/{m}/{seed}")
+        yield random_matching_instance(rng, m)
+        for n_fixed in (0, 1, 2):
+            yield random_flow_instance(rng, m, n_fixed)
+            yield random_network_instance(rng, m, n_fixed)
+
+
+class TestWarmWalks:
+    """Schedules read their values along one walk of the family's `grow`;
+    the cold oracle, one `step_value` call per set, gives the same values."""
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_evaluate_schedule_equals_step_value_on_each_prefix(self, m):
+        rng = random.Random(9700 + m)
+        for inst in walk_instances(m):
+            for _ in range(3):
+                order = tuple(rng.sample(inst.orderable, m))
+                s = evaluate_schedule(inst, order_to_perm(inst, order))
+                assert s.order == order
+                assert s.step_values == prefix_values(inst, order)
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_greedies_equal_the_cold_reference(self, m):
+        for inst in walk_instances(m):
+            support = inst.data.support(inst.data.elements) & set(inst.orderable)
+            rest = [e for e in inst.orderable if e not in support]
+            for s, pools in ((greedy_marginal(inst), [inst.orderable]),
+                             (greedy_optimal_first(inst), [sorted(support), rest])):
+                order = tuple(cold_greedy(inst, pools))
+                assert s.order == order
+                assert s.step_values == prefix_values(inst, order)
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_brute_force_is_the_repair(self, m):
+        for inst in walk_instances(m):
+            assert brute_force(inst) == replace(_repair_subset_dp(inst), method="brute")
 
 
 class TestBestOrder:
@@ -197,6 +256,19 @@ class TestSubmodularGreedy:
     def test_negative_additive_weights_rejected(self):
         with pytest.raises(ValueError):
             SetFunctionSpec("additive", weights=(1.0, -2.0))
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_non_finite_additive_weights_rejected(self, weight):
+        with pytest.raises(ValueError):
+            SetFunctionSpec("additive", weights=(weight, 1.0))
+
+    def test_overflowing_total_raises(self):
+        # each weight is finite, but every order's total overflows a float
+        f = SetFunctionSpec("additive", weights=(1.7e308, 1.7e308))
+        with pytest.raises(ValueError):
+            submodular_greedy(f)
+        with pytest.raises(ValueError):
+            brute_force_set_function(f)
 
     def test_ratio_bound_holds_random_coverage(self, rng):
         for _ in range(10):
