@@ -4,9 +4,9 @@ monotone-submodular greedy with its approximation-ratio lower bound.
 All greedies run one marginal-gain loop (`_greedy`) that grows each
 candidate from the realized set's state with a `grow` they pass in: the
 family's for instances, one over tuples for set functions. Brute force is
-the repair, `scheduler._repair_subset_dp`, behind a guard on m. Both brute
-forces take the lexicographically first best order of `scheduler._best_order`,
-a subset DP over a bitmask table of subset values in O(m·2^m) steps.
+the repair, `scheduler._repair_subset_dp`. Both brute forces take the
+lexicographically first best order of `subproblems._best_order`, a subset
+DP over a bitmask table of values in O(m·2^m) steps, for m <= SUBSET_GUARD.
 """
 
 from __future__ import annotations
@@ -15,14 +15,8 @@ import math
 from dataclasses import dataclass, replace
 
 from .perms import Permutation
-from .scheduler import Schedule, _best_order, _repair_subset_dp, evaluate_schedule
-from .subproblems import Instance, step_value  # step_value: only the benchmark tracer wraps it
-
-BRUTE_FORCE_GUARD = 9
-
-
-class GuardError(Exception):
-    """Problem size exceeds a guard on the exponential exact methods."""
+from .scheduler import Schedule, _repair_subset_dp, evaluate_schedule
+from .subproblems import SUBSET_GUARD, Instance, _best_order, step_value  # step_value: tracer only
 
 
 def _greedy(grow, root, pools) -> list:
@@ -63,9 +57,7 @@ def greedy_optimal_first(instance: Instance) -> Schedule:
 
 def brute_force(instance: Instance) -> Schedule:
     """Exact optimum, the lexicographically first best realization order:
-    the repair's subset DP, for m up to BRUTE_FORCE_GUARD."""
-    if instance.m > BRUTE_FORCE_GUARD:
-        raise GuardError(f"m={instance.m} exceeds brute-force guard {BRUTE_FORCE_GUARD}")
+    the repair's, from the instance's one subset DP (m <= SUBSET_GUARD)."""
     return replace(_repair_subset_dp(instance), method="brute")
 
 
@@ -119,10 +111,10 @@ def submodular_greedy(f: SetFunctionSpec) -> Schedule:
 def brute_force_set_function(f: SetFunctionSpec) -> float:
     """Exact optimum of the cumulative value over all orderings, by the
     subset DP of `brute_force`: the total of the lexicographically first
-    best order; ValueError if that total overflows a float."""
+    best order; ValueError past m = SUBSET_GUARD or on an overflowing total."""
     m = f.m
-    if m > BRUTE_FORCE_GUARD:
-        raise GuardError(f"m={m} exceeds brute-force guard {BRUTE_FORCE_GUARD}")
+    if m > SUBSET_GUARD:
+        raise ValueError(f"m={m} exceeds subset-table guard {SUBSET_GUARD}")
     table = [f.value([i for i in range(m) if mask >> i & 1]) for mask in range(1 << m)]
     total = _best_order(table, m)[0]
     if not math.isfinite(total):

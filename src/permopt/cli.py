@@ -12,12 +12,11 @@ import json
 import sys
 from pathlib import Path
 
-from .baselines import (BRUTE_FORCE_GUARD, GuardError, brute_force, greedy_marginal,
-                        greedy_optimal_first)
+from .baselines import brute_force, greedy_marginal, greedy_optimal_first
 from .instance_io import BUNDLED, ValidationError, bundled_instance, parse_instance
 from .lp import LpError
 from .scheduler import EXTENDED, MODES, Schedule, SolveError, solve_schedule
-from .subproblems import Instance, InstanceError
+from .subproblems import SUBSET_GUARD, Instance, InstanceError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -123,13 +122,13 @@ def run(argv) -> int:
         return EXIT_OK
 
     methods = [args.method] if args.command == "solve" else list(METHODS)
-    if args.command == "compare" and instance.m > BRUTE_FORCE_GUARD:
+    if args.command == "compare" and instance.m > SUBSET_GUARD:
         methods.remove("brute")
     schedules = []
     try:
         for method in methods:
             schedules.append(_run_method(instance, method, args.mode))
-    except (ValidationError, InstanceError, GuardError) as exc:
+    except (ValidationError, InstanceError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (SolveError, LpError) as exc:

@@ -8,8 +8,8 @@ y_i = m + 1 - sum_j h[i][j] to the permutahedron, so the program carries
 no position variables. Its optimum bounds the best cumulative schedule
 value; the ordering is read off the positions and re-certified against
 the combinatorial oracles. An ordering that falls short of the bound is
-repaired by the one subset DP, `_best_order`, which brute force runs too:
-ties go to the lexicographically first best order.
+repaired by `Instance._exact_order`, the one subset DP, which brute force
+reads too: ties go to the lexicographically first best order.
 
 The simplex works to absolute tolerances, so the master is solved on a
 copy of the instance in units of the power of two nearest f(all), the value
@@ -36,7 +36,7 @@ from .perms import (
     permutation_from_point,
     separate_permutahedron,
 )
-from .subproblems import Instance, InstanceError, emit_step, subset_values
+from .subproblems import Instance, InstanceError, emit_step
 from .subproblems import step_value  # unused here: only the benchmark tracer wraps it
 
 # Two names for the one master program, kept so existing callers still work.
@@ -159,59 +159,22 @@ def solve_schedule(instance: Instance, mode: str = EXTENDED) -> Schedule:
     overestimate), in which case the extracted ordering fails certification
     and integrality is repaired exactly by dynamic programming over
     realized subsets. The gap is judged against the bound itself, so an
-    arc or edge far larger than the optimum cannot hide it.
+    arc or edge far larger than the optimum cannot hide it; a total above
+    the bound means the LP stopped short, a SolveError.
     """
     bound, positions = _solve_master(instance, mode)
     chosen = evaluate_schedule(instance, permutation_from_point(positions))
     repaired = chosen.total < bound - VALUE_TOL * abs(bound)
     if repaired:
         chosen = _repair_subset_dp(instance)
+    if chosen.total > bound + VALUE_TOL * abs(bound):
+        raise SolveError(f"total {chosen.total} exceeds the LP bound {bound}")
     return replace(chosen, method="lp", lp_bound=bound, certified=True, repaired=repaired)
 
 
 def _repair_subset_dp(instance: Instance) -> Schedule:
-    """Exact optimum: the order `_best_order` picks on the subset table,
-    at one oracle value per subset."""
-    order = _best_order(subset_values(instance), instance.m)[1]
-    return evaluate_schedule(instance, Permutation.from_order(order))
-
-
-def _best_order(table, m: int):
-    """(total, order) of the best ordering of range(m), where realizing the
-    bitmask S adds table[S]: the lexicographically first best order, by a
-    subset DP in O(m·2^m) table lookups.
-
-    tail[S] is the best value still to come once S is realized; bits are
-    scanned in ascending order and a later bit must win by more than 1e-12
-    of the best so far. The order then takes, from the empty set on, the
-    smallest element whose continuation falls short of tail[S] by at most
-    1e-12 of it (totals are nonnegative), so near-ties resolve alike at
-    any magnitude. The total is summed forward along that order, as the
-    order's own step values would be; table[0] is never read.
-    """
-    full = (1 << m) - 1
-    tail = [0.0] * (full + 1)
-    for mask in range(full - 1, -1, -1):
-        best = -math.inf
-        for i in range(m):
-            if not mask >> i & 1:
-                nxt = mask | 1 << i
-                cand = table[nxt] + tail[nxt]
-                if cand > best * (1.0 + 1e-12):
-                    best = cand
-        tail[mask] = best
-    total, mask, order = 0.0, 0, []
-    while mask != full:
-        for i in range(m):
-            if not mask >> i & 1:
-                nxt = mask | 1 << i
-                step = table[nxt]
-                if not tail[mask] > (step + tail[nxt]) * (1.0 + 1e-12):
-                    break
-        order.append(i)
-        total += step
-        mask = nxt
-    return total, tuple(order)
+    """Exact optimum: the instance's one subset-DP order, `_exact_order`."""
+    return evaluate_schedule(instance, Permutation.from_order(instance._exact_order))
 
 
 def master_lp_value(instance: Instance, mode: str = EXTENDED) -> float:

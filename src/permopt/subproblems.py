@@ -10,7 +10,9 @@ values by walking `grow` along its own chain of sets: `subset_values`,
 `scheduler.evaluate_schedule` and the greedies. `value` and `support` (one
 cold run's value and optimal elements), `elements`, `values` and `scaled`
 (a copy in other units) sit alongside. `Instance` holds exactly one family
-object, so the solvers never ask which family they run on.
+object, so the solvers never ask which family they run on. Its exact
+order, the one subset DP `_best_order` over the `subset_values` table
+(m <= SUBSET_GUARD), is built at most once and shared by every exact method.
 """
 
 from __future__ import annotations
@@ -48,6 +50,9 @@ class MatchingInstance:
         for e, (u, v) in self.edges.items():
             if (u in self.left) == (v in self.left):
                 raise InstanceError(f"edge {e}=({u},{v}) does not cross the bipartition")
+        n = len(self.edges)  # every method reads f(all), so fixed edges count too
+        if n > ENUMERATION_GUARD:
+            raise InstanceError(f"{n} edges exceeds enumeration guard {ENUMERATION_GUARD}")
 
     @property
     def elements(self) -> dict:
@@ -231,6 +236,8 @@ class Instance:
         if not isinstance(self.data, (MatchingInstance, FlowInstance)):
             raise InstanceError(f"data is a {type(self.data).__name__}, "
                                 "expected a MatchingInstance or FlowInstance")
+        if any(a >= b for ids in (self.orderable, self.fixed) for a, b in zip(ids, ids[1:])):
+            raise InstanceError("orderable and fixed element ids must each be strictly increasing")
         if set(self.orderable) & set(self.fixed):
             raise InstanceError("orderable and fixed element sets overlap")
         referenced = set(self.data.elements)
@@ -247,6 +254,11 @@ class Instance:
     @property
     def m(self) -> int:
         return len(self.orderable)
+
+    @cached_property
+    def _exact_order(self) -> tuple:
+        """The subset DP's best order, as positions in `orderable`."""
+        return _best_order(subset_values(self), self.m)[1]
 
 
 def make_instance(data, fixed_ids) -> Instance:
@@ -267,8 +279,6 @@ def best_matching(inst: MatchingInstance, available):
     weights, so tiny weights are never all taken for ties of the empty set.
     """
     avail = sorted(set(available))
-    if len(avail) > ENUMERATION_GUARD:
-        raise InstanceError(f"{len(avail)} edges exceeds enumeration guard {ENUMERATION_GUARD}")
     best_w, best_set = 0.0, None
     for subset, weight in _matchings(inst, avail):
         if best_set is None or weight > best_w * (1.0 + 1e-12):
@@ -390,6 +400,44 @@ def subset_values(instance: Instance) -> list:
     table[0], root = data.grow(None, instance.fixed)
     visit(0, 0, root)
     return table
+
+
+def _best_order(table, m: int):
+    """(total, order) of the best ordering of range(m), where realizing the
+    bitmask S adds table[S]: the lexicographically first best order, by a
+    subset DP in O(m·2^m) table lookups.
+
+    tail[S] is the best value still to come once S is realized; bits are
+    scanned in ascending order and a later bit must win by more than 1e-12
+    of the best so far. The order then takes, from the empty set on, the
+    smallest element whose continuation falls short of tail[S] by at most
+    1e-12 of it (totals are nonnegative), so near-ties resolve alike at
+    any magnitude. The total is summed forward along that order, as the
+    order's own step values would be; table[0] is never read.
+    """
+    full = (1 << m) - 1
+    tail = [0.0] * (full + 1)
+    for mask in range(full - 1, -1, -1):
+        best = -math.inf
+        for i in range(m):
+            if not mask >> i & 1:
+                nxt = mask | 1 << i
+                cand = table[nxt] + tail[nxt]
+                if cand > best * (1.0 + 1e-12):
+                    best = cand
+        tail[mask] = best
+    total, mask, order = 0.0, 0, []
+    while mask != full:
+        for i in range(m):
+            if not mask >> i & 1:
+                nxt = mask | 1 << i
+                step = table[nxt]
+                if not tail[mask] > (step + tail[nxt]) * (1.0 + 1e-12):
+                    break
+        order.append(i)
+        total += step
+        mask = nxt
+    return total, tuple(order)
 
 
 def emit_step(instance: Instance, j: int, h_vars, builder):

@@ -141,7 +141,7 @@ def enumerated_best_order(table, m: int):
     """(total, order) of the best ordering of range(m), where realizing the
     bitmask S adds table[S], by walking all m! orders; the first best order
     in lexicographic order wins unless a later one beats it by more than
-    1e-12 of the best total. The reference for `baselines._best_order`."""
+    1e-12 of the best total. The reference for `subproblems._best_order`."""
     best_total, best_order = -math.inf, None
     for order in itertools.permutations(range(m)):
         total = 0.0

@@ -15,7 +15,6 @@ from conftest import (
     set_function_table,
 )
 from permopt.baselines import (
-    GuardError,
     SetFunctionSpec,
     _best_order,
     brute_force,
@@ -26,8 +25,14 @@ from permopt.baselines import (
     submodular_greedy,
 )
 from permopt.instance_io import bundled_instance
-from permopt.scheduler import _repair_subset_dp, evaluate_schedule
-from permopt.subproblems import FlowInstance, MatchingInstance, make_instance, subset_values
+from permopt.scheduler import _repair_subset_dp, evaluate_schedule, solve_schedule
+from permopt.subproblems import (
+    FlowInstance,
+    InstanceError,
+    MatchingInstance,
+    make_instance,
+    subset_values,
+)
 from test_scheduler import order_to_perm
 
 
@@ -94,12 +99,29 @@ class TestBruteForce:
         assert s.permutation.positions == (1,)
 
     def test_guard(self):
+        # m = 10: brute force is the repair up to the subset table's guard
         left = frozenset(range(5))
         edges = {e: (e % 5, 10 + e) for e in range(10)}
         weights = {e: 1.0 for e in range(10)}
         inst = make_instance(MatchingInstance(edges, weights, left), [])
-        with pytest.raises(GuardError):
-            brute_force(inst)
+        s = brute_force(inst)
+        assert s == replace(_repair_subset_dp(inst), method="brute")
+        assert s.total == solve_schedule(inst).total == 1 + 2 + 3 + 4 + 5 * 6
+
+    @pytest.mark.parametrize("m", [10, 12])
+    @pytest.mark.parametrize("make", [random_matching_instance, random_flow_instance],
+                             ids=["matching", "flow"])
+    def test_is_the_repair_at_m_10_and_12(self, make, m):
+        inst = make(random.Random(f"brute/{m}"), m)
+        s = brute_force(inst)
+        assert s == replace(_repair_subset_dp(inst), method="brute")
+        assert s.total == solve_schedule(inst).total
+
+    def test_subset_table_guard(self):
+        with pytest.raises(InstanceError, match="guard"):
+            brute_force(random_flow_instance(random.Random(3), 21))
+        with pytest.raises(ValueError, match="guard"):
+            brute_force_set_function(SetFunctionSpec("additive", weights=(1.0,) * 21))
 
     def test_greedy_never_beats_brute(self, rng):
         from conftest import random_matching_instance

@@ -1,13 +1,14 @@
 import json
 import math
 import random
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from conftest import random_flow_instance
-from permopt import scheduler
-from permopt.baselines import BRUTE_FORCE_GUARD
-from permopt.cli import EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, run
+from permopt import cli, scheduler, subproblems
+from permopt.cli import EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, METHODS, run
 from permopt.instance_io import (
     ValidationError,
     bundled_instance,
@@ -251,8 +252,9 @@ class TestRun:
         assert captured.out == ""
         assert "overflows" in captured.err
 
-    def test_compare_drops_brute_above_its_guard(self, tmp_path, capsys):
-        inst = random_flow_instance(random.Random(5), BRUTE_FORCE_GUARD + 1)
+    def test_compare_drops_brute_above_its_guard(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(cli, "SUBSET_GUARD", 9)
+        inst = random_flow_instance(random.Random(5), 10)
         path = tmp_path / "m10.json"
         path.write_text(serialize_instance(inst))
         assert run(["compare", "--instance", str(path)]) == EXIT_OK
@@ -260,9 +262,71 @@ class TestRun:
         assert [m["method"] for m in report["methods"]] == ["lp", "greedy-marginal",
                                                             "greedy-first"]
 
+    def test_compare_runs_brute_up_to_the_subset_table_guard(self, tmp_path, capsys):
+        inst = random_flow_instance(random.Random(5), 10)
+        path = tmp_path / "m10.json"
+        path.write_text(serialize_instance(inst))
+        assert run(["compare", "--instance", str(path)]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert [m["method"] for m in report["methods"]] == list(METHODS)
+        totals = {m["method"]: m["total"] for m in report["methods"]}
+        assert totals["lp"] == totals["brute"]
+
+    def test_compare_builds_one_subset_table(self, monkeypatch, capsys):
+        # g1's LP order falls short of the bound, so lp repairs; brute force
+        # reads the same exact order
+        calls = []
+        build = subproblems.subset_values
+        monkeypatch.setattr(subproblems, "subset_values",
+                            lambda inst: calls.append(inst) or build(inst))
+        assert run(["compare", "--instance", "g1.json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["methods"][0]["repaired"] is True
+        assert len(calls) == 1
+
+    def test_validate_rejects_a_matching_past_the_enumeration_guard(self, tmp_path, capsys):
+        # 12+12 vertices, 24 fixed edges and 2 orderable ones (m = 2): every
+        # method reads the value of all 26 edges, past the guard of 25
+        pairs = [(i, 12 + i) for i in range(12)] + [(i, 12 + (i + 1) % 12) for i in range(12)]
+        pairs += [(0, 14), (1, 15)]
+        doc = {"family": "matching", "left": list(range(12)), "elements": [
+            {"id": e, "fixed": e < 24, "u": u, "v": v, "w": 1.0} for e, (u, v) in enumerate(pairs)
+        ]}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        for command in ("validate", "solve"):
+            assert run([command, "--instance", str(path)]) == EXIT_VALIDATION
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "26 edges exceeds enumeration guard 25" in captured.err
+
+    def test_lp_bound_below_the_total_exit_code(self, monkeypatch, capsys):
+        # an LP that stops short: its bound falls below g1's evaluated total
+        solve = scheduler.lp_solve
+
+        def halved(lp):
+            sol = solve(lp)
+            return replace(sol, objective=sol.objective / 2)
+
+        monkeypatch.setattr(scheduler, "lp_solve", halved)
+        assert run(["solve", "--instance", "g1.json"]) == EXIT_SOLVER
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exceeds the LP bound" in captured.err
+
     def test_master_lp_failure_exit_code(self, monkeypatch, capsys):
         monkeypatch.setattr(scheduler, "lp_solve", lambda lp: LpSolution(ITERATION_LIMIT))
         assert run(["solve", "--instance", "g1.json"]) == EXIT_SOLVER
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "solver failure" in captured.err
+
+
+BUNDLED_REPORTS = json.loads((Path(__file__).parent / "data" / "bundled_reports.json").read_text())
+
+
+@pytest.mark.parametrize("argv", sorted(BUNDLED_REPORTS))
+def test_bundled_compare_report_is_byte_identical(argv, capsys):
+    """`compare` on g1-d3 at the default and two other epsilons prints the
+    reports recorded in tests/data/bundled_reports.json, byte for byte."""
+    assert run(argv.split()) == EXIT_OK
+    assert capsys.readouterr().out == BUNDLED_REPORTS[argv]

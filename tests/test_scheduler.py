@@ -258,6 +258,19 @@ class TestSolveSchedule:
         with pytest.raises(SolveError, match="iteration_limit"):
             solve_schedule(bundled_instance("g1"))
 
+    def test_bound_below_the_total_raises(self, monkeypatch):
+        # an LP that stops short at half its optimum: g1's order evaluates
+        # to 5.8, above the reported bound 2.925
+        solve = scheduler.lp_solve
+
+        def halved(lp):
+            sol = solve(lp)
+            return replace(sol, objective=sol.objective / 2)
+
+        monkeypatch.setattr(scheduler, "lp_solve", halved)
+        with pytest.raises(SolveError, match="5.8 exceeds the LP bound 2.925"):
+            solve_schedule(bundled_instance("g1"))
+
 
 def spiked(instance, factor, rng):
     """The instance with one weight or capacity, drawn by rng, multiplied

@@ -59,8 +59,8 @@ class TestOracles:
         left = frozenset(range(30))
         edges = {e: (e, 100 + e) for e in range(30)}
         weights = {e: 1.0 for e in range(30)}
-        data = MatchingInstance(edges, weights, left)
         with pytest.raises(InstanceError):
+            data = MatchingInstance(edges, weights, left)
             data.value(range(30))
 
     def test_best_matching_lexicographic_tie(self):
@@ -262,6 +262,15 @@ class TestValidation:
         assert Instance(data, (0,), ()).family == "flow"
         with pytest.raises(InstanceError, match="MatchingInstance or FlowInstance"):
             Instance("flow", (0,), ())
+
+    def test_element_ids_strictly_increasing(self):
+        # a repeated id made m = 3 out of two edges, and every exact method
+        # certified order (1, 0, 0) at total 8.0 against an optimum of 5.0
+        data = MatchingInstance({0: (0, 10), 1: (1, 11)}, {0: 1.0, 1: 2.0}, frozenset({0, 1}))
+        for orderable, fixed in (((0, 0, 1), ()), ((1, 0), ()), ((), (1, 0)), ((1,), (0, 0))):
+            with pytest.raises(InstanceError, match="strictly increasing"):
+                Instance(data, orderable, fixed)
+        assert Instance(data, (0, 1), ()).m == 2
 
     def test_orderable_fixed_disjoint(self):
         data = FlowInstance({0: (0, 1)}, {0: 1.0}, 0, 1)
