@@ -2,17 +2,18 @@
 
 A family is one data class, `MatchingInstance` or `FlowInstance`, and each
 class carries both faces of its subproblem: `grow(state, added)`, an
-independent combinatorial oracle (matching by enumeration, flow by
-augmenting paths) that gives the value once `added` become usable too and
-the state to grow on from, and `emit`, the per-step LP block coupled to a
-chain column, whose values the oracle cross-checks. Every solver reads
-values by walking `grow` along its own chain of sets: `subset_values`,
-`scheduler.evaluate_schedule` and the greedies. `value` and `support` (one
-cold run's value and optimal elements), `elements`, `values` and `scaled`
-(a copy in other units) sit alongside. `Instance` holds exactly one family
-object, so the solvers never ask which family they run on. Its exact
-order, the one subset DP `_best_order` over the `subset_values` table
-(m <= SUBSET_GUARD), is built at most once and shared by every exact method.
+independent combinatorial oracle (matching by enumeration, flow by augmenting
+paths) that gives the value once `added` become usable too and the state to
+grow on from, and `emit`, the per-step LP block coupled to a chain column,
+whose values the oracle cross-checks. Every solver reads values by walking
+`grow` along its own chain of sets: `subset_values`,
+`scheduler.evaluate_schedule` and the greedies. `value` and `support` (one cold
+run's value and optimal elements), `elements`, `values` and `scaled` (a copy in
+other units) sit alongside. The flow family's one structure is
+`FlowInstance.network`, a `FlowNetwork`. `Instance` holds exactly one family
+object, so the solvers never ask which family they run on. Its exact order, the
+one subset DP `_best_order` over the `subset_values` table (m <= SUBSET_GUARD),
+is built at most once and shared by every exact method.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ class MatchingInstance:
     family = MATCHING  # class attribute, not a field
 
     def __post_init__(self):
+        if self.weights.keys() != self.edges.keys():
+            raise InstanceError(f"weights {sorted(self.weights)} != edges {sorted(self.edges)}")
         for e, w in self.weights.items():
             if not (math.isfinite(w) and w >= 0):
                 raise InstanceError(f"edge {e} has weight {w}, expected a finite number >= 0")
@@ -102,6 +105,9 @@ class MatchingInstance:
 
 @dataclass(frozen=True)
 class FlowInstance:
+    """An s-t network; `network` gives an uncapacitated (math.inf) arc a finite
+    stand-in, safe as validation rejects an s-t path of such arcs (see FlowNetwork)."""
+
     arcs: dict  # element id -> (tail, head)
     capacities: dict  # element id -> capacity >= 0, math.inf = uncapacitated
     source: int
@@ -112,44 +118,27 @@ class FlowInstance:
     def __post_init__(self):
         if self.source == self.sink:
             raise InstanceError("source equals sink")
+        if self.capacities.keys() != self.arcs.keys():
+            raise InstanceError(
+                f"capacities {sorted(self.capacities)} != arcs {sorted(self.arcs)}")
         for a, c in self.capacities.items():
             if not c >= 0:  # also rejects NaN; inf stays allowed
                 raise InstanceError(f"arc {a} has capacity {c}, expected a number >= 0")
         # Every arc is built by step m, so fixed and orderable arcs both
         # count: an s-t path of uncapacitated arcs makes the last steps'
         # max flow unbounded, which no finite stand-in capacity represents.
-        uncapacitated = {}
-        for a, (tail, head) in self.arcs.items():
-            if math.isinf(self.capacities[a]):
-                uncapacitated.setdefault(tail, []).append(head)
         reached, frontier = {self.source}, [self.source]
         while frontier:
-            for head in uncapacitated.get(frontier.pop(), ()):
+            for k, head, _ in self.network.out.get(frontier.pop(), ()):
+                if head in reached or not math.isinf(self.capacities[self.network.arcs[k]]):
+                    continue
                 if head == self.sink:
                     raise InstanceError(
                         "the sink is reachable from the source through uncapacitated "
                         "arcs alone, so the max flow is unbounded"
                     )
-                if head not in reached:
-                    reached.add(head)
-                    frontier.append(head)
-
-    @property
-    def nodes(self):
-        ns = {self.source, self.sink}
-        for t, h in self.arcs.values():
-            ns.add(t)
-            ns.add(h)
-        return ns
-
-    def finite_cap(self, a) -> float:
-        """Capacity with 'uncapacitated' replaced by a safe finite bound
-        (sum of all finite capacities): with no s-t path of uncapacitated
-        arcs, the finite arcs hold an s-t cut, so no max flow exceeds it."""
-        c = self.capacities[a]
-        if math.isinf(c):
-            return sum(v for v in self.capacities.values() if not math.isinf(v))
-        return c
+                reached.add(head)
+                frontier.append(head)
 
     @property
     def elements(self) -> dict:
@@ -196,34 +185,26 @@ class FlowInstance:
     def emit(self, j, h_vars, builder) -> dict:
         """Step-j flow block: f[a] in [0, cap_a], f[a] <= cap_a * h[a] for
         orderable arcs, conservation at every inner node, and the source's
-        net outflow as the objective."""
-        f = {}
-        for a in sorted(self.arcs):
-            cap = self.finite_cap(a)
-            f[a] = builder.add_var(f"f{j}[{a}]", 0.0, cap)
+        net outflow as the objective, all read off `network`; a self-loop's
+        +1 and -1 cancel."""
+        net, f = self.network, []
+        for a, cap in zip(net.arcs, net.caps):
+            f.append(builder.add_var(f"f{j}[{a}]", 0.0, cap))
             # a zero-capacity arc is already held at zero by its [0, 0] bound
             if a in h_vars and cap > 0:
-                builder.add(LinearConstraint({f[a]: 1.0, h_vars[a]: -cap}, LE, 0.0,
+                builder.add(LinearConstraint({f[-1]: 1.0, h_vars[a]: -cap}, LE, 0.0,
                                              name=f"avail{j}[{a}]"))
-        for node in sorted(self.nodes):
-            if node in (self.source, self.sink):
-                continue
-            coefs = {}
-            for a, (t, h) in self.arcs.items():
-                if t == node:
-                    coefs[f[a]] = coefs.get(f[a], 0.0) + 1.0
-                if h == node:
-                    coefs[f[a]] = coefs.get(f[a], 0.0) - 1.0
+        for node in sorted(net.out.keys() | net.into.keys()):
+            coefs = {f[k]: 1.0 for k, _, _ in net.out.get(node, ())}
+            for k, _, _ in net.into.get(node, ()):
+                coefs[f[k]] = coefs.get(f[k], 0.0) - 1.0
             coefs = {var: c for var, c in coefs.items() if c != 0.0}
-            if coefs:
+            if node == self.source:  # its net outflow, the value `grow` counts
+                for var, c in coefs.items():
+                    builder.set_objective(var, c)
+            elif node != self.sink and coefs:
                 builder.add(LinearConstraint(coefs, EQ, 0.0, name=f"conserve{j}[{node}]"))
-        # net outflow of the source, the value `grow` counts
-        for a, (t, h) in sorted(self.arcs.items()):
-            if t == self.source:
-                builder.set_objective(f[a], 1.0)
-            if h == self.source:
-                builder.set_objective(f[a], -1.0)
-        return f
+        return dict(zip(net.arcs, f))
 
 
 @dataclass(frozen=True)
@@ -305,18 +286,22 @@ def _matchings(inst: MatchingInstance, avail):
 
 
 class FlowNetwork:
-    """Adjacency of a `FlowInstance` with arcs at positions 0.. in ascending
-    id: `arcs` (ids), `index` (id -> position), `caps` (finite capacities),
-    `ends` ((tail, head) per position), and per node the arcs leaving it
-    (`out`) and entering it (`into`) as (position, other end, zero), where
-    zero = 1e-12 of the arc's capacity is the largest residual or flow
-    that counts as none."""
+    """Adjacency of a `FlowInstance`, the flow family's one structure, with arcs at
+    positions 0.. in ascending id: `arcs` (ids), `index` (id -> position),
+    `caps` (finite capacities), `ends` ((tail, head) per position), and per
+    node the arcs leaving it (`out`) and entering it (`into`) as (position,
+    other end, zero), where zero = 1e-12 of the arc's capacity is the largest
+    residual or flow that counts as none. An uncapacitated arc's cap is the sum
+    of all finite capacities: with no s-t path of uncapacitated arcs, the
+    finite arcs hold an s-t cut, so no max flow exceeds it."""
 
     def __init__(self, inst: FlowInstance):
         self.source, self.sink = inst.source, inst.sink
         self.arcs = tuple(sorted(inst.arcs))
         self.index = {a: k for k, a in enumerate(self.arcs)}
-        self.caps = [inst.finite_cap(a) for a in self.arcs]
+        stand_in = sum(c for c in inst.capacities.values() if not math.isinf(c))
+        self.caps = [stand_in if math.isinf(inst.capacities[a]) else inst.capacities[a]
+                     for a in self.arcs]
         self.ends = [inst.arcs[a] for a in self.arcs]
         self.out, self.into = {}, {}
         for k, (t, h) in enumerate(self.ends):

@@ -169,6 +169,14 @@ def step_lp_value(instance: Instance, subset) -> float:
     return sol.objective
 
 
+def assert_block_equals_oracle(instance: Instance):
+    """The step LP and the oracle agree on every subset of the orderable elements."""
+    for r in range(instance.m + 1):
+        for subset in itertools.combinations(instance.orderable, r):
+            assert step_lp_value(instance, set(subset)) == pytest.approx(
+                step_value(instance, set(subset)), abs=1e-9)
+
+
 class TestEmitStep:
     def test_single_edge_available(self):
         data = MatchingInstance({0: (0, 1)}, {0: 5.0}, frozenset({0}))
@@ -189,21 +197,20 @@ class TestEmitStep:
     def test_arc_into_source_counts_net_flow(self):
         # s->2 and 2->s form a cycle through the source; only s->t reaches t
         data = FlowInstance({0: (0, 2), 1: (2, 0), 2: (0, 1)}, {0: 5.0, 1: 5.0, 2: 1.0}, 0, 1)
-        inst = make_instance(data, [])
-        for r in range(inst.m + 1):
-            for subset in itertools.combinations(inst.orderable, r):
-                assert step_lp_value(inst, set(subset)) == pytest.approx(
-                    step_value(inst, set(subset)), abs=1e-9)
+        assert_block_equals_oracle(make_instance(data, []))
+
+    def test_loops_parallel_arcs_and_an_arc_into_the_source(self):
+        # self-loops at s and at 2 (the latter uncapacitated), 2->s, and two
+        # parallel arcs s->2: the block read off the network equals the oracle
+        arcs = {0: (0, 0), 1: (2, 2), 2: (2, 0), 3: (0, 2), 4: (0, 2), 5: (2, 1), 6: (0, 1)}
+        caps = {0: 3.0, 1: math.inf, 2: 2.0, 3: 1.5, 4: 2.5, 5: 3.5, 6: 1.0}
+        assert_block_equals_oracle(make_instance(FlowInstance(arcs, caps, 0, 1), []))
 
     def test_zero_capacity_arc(self):
         # s->2 has capacity 0: its variable's [0, 0] bound holds it, and no
         # availability row with a zero coefficient is emitted
         data = FlowInstance({0: (0, 2), 1: (2, 1), 2: (0, 1)}, {0: 0.0, 1: 3.0, 2: 1.0}, 0, 1)
-        inst = make_instance(data, [])
-        for r in range(inst.m + 1):
-            for subset in itertools.combinations(inst.orderable, r):
-                assert step_lp_value(inst, set(subset)) == pytest.approx(
-                    step_value(inst, set(subset)), abs=1e-9)
+        assert_block_equals_oracle(make_instance(data, []))
 
     def test_bad_step_index(self):
         inst = bundled_instance("g1")
@@ -287,7 +294,36 @@ class TestValidation:
         FlowInstance(arcs, {0: math.inf, 1: 5.0, 2: 2.0}, 0, 1)
         # an uncapacitated path that leads away from the sink is fine
         FlowInstance({0: (0, 2), 1: (1, 2), 2: (0, 1)}, {0: math.inf, 1: math.inf, 2: 2.0}, 0, 1)
+        # a finite arc beside an uncapacitated parallel one does not block the path
+        with pytest.raises(InstanceError, match="unbounded"):
+            FlowInstance({0: (0, 2), 1: (0, 2), 2: (2, 1)},
+                         {0: 1.0, 1: math.inf, 2: math.inf}, 0, 1)
+        # uncapacitated arcs are followed from tail to head only: 2->s and 2->t
+        FlowInstance({0: (2, 0), 1: (2, 1), 2: (0, 1)}, {0: math.inf, 1: math.inf, 2: 2.0}, 0, 1)
 
     def test_uncapacitated_bound_is_finite(self):
         data = FlowInstance({0: (0, 1), 1: (1, 2)}, {0: 3.0, 1: math.inf}, 0, 2)
-        assert data.finite_cap(1) == 3.0
+        assert data.network.caps[data.network.index[1]] == 3.0
+
+    def test_edge_without_a_weight(self):
+        # unchecked, it reaches the solvers, which raise KeyError: 1
+        edges = {0: (0, 1), 1: (0, 2)}
+        with pytest.raises(InstanceError, match="weights"):
+            solve_schedule(make_instance(MatchingInstance(edges, {0: 1.0}, frozenset({0})), []))
+
+    def test_weight_without_an_edge(self):
+        # unchecked, it is silently ignored
+        with pytest.raises(InstanceError, match="weights"):
+            MatchingInstance({0: (0, 1)}, {0: 1.0, 1: 2.0}, frozenset({0}))
+
+    def test_arc_without_a_capacity(self):
+        # unchecked, construction raises KeyError: 1
+        with pytest.raises(InstanceError, match="capacities"):
+            FlowInstance({0: (0, 1), 1: (0, 1)}, {0: 1.0}, 0, 1)
+
+    def test_capacity_without_an_arc(self):
+        # unchecked, phantom arc 7 lifts the uncapacitated arc's stand-in from 1.0 to 51.0
+        arcs = {0: (0, 2), 1: (2, 1)}
+        with pytest.raises(InstanceError, match="capacities"):
+            FlowInstance(arcs, {0: 1.0, 1: math.inf, 7: 50.0}, 0, 1)
+        assert FlowInstance(arcs, {0: 1.0, 1: math.inf}, 0, 1).network.caps == [1.0, 1.0]
