@@ -37,7 +37,7 @@ agree = 0
 for _ in range(200):
     y = rng.uniform(1.0, 3.0, size=3)
     b = LpBuilder()
-    yv = [b.add_var(f"y[{i}]", y[i], y[i]) for i in range(3)]
+    yv = [b.add_var(y[i], y[i]) for i in range(3)]
     _, cons = birkhoff_extension(3, yv, b)
     b.add_all(cons)
     inside_ext = solve(b.build("max")).status == OPTIMAL

@@ -92,10 +92,7 @@ def _parse_matching(doc, elements) -> MatchingInstance:
             raise ValidationError(f"element {eid}.w: expected a number")
         if w < 0:
             raise ValidationError(f"element {eid}.w: negative weight {w}")
-        u, v = el["u"], el["v"]
-        if (u in set(left)) == (v in set(left)):
-            raise ValidationError(f"element {eid}: edge ({u},{v}) does not cross the bipartition")
-        edges[eid] = (u, v)
+        edges[eid] = (el["u"], el["v"])
         weights[eid] = float(w)
     return MatchingInstance(edges, weights, frozenset(left))
 

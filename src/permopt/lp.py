@@ -2,7 +2,7 @@
 
 Small, self-contained, and deterministic. Every variable needs a finite
 lower bound, so standard form is a plain shift, u = x - lower. Every
-program takes one path: standard form, one tableau, phase 1, phase 2,
+program takes one path: one tableau (`_tableau`), phase 1, phase 2,
 with both phases priced by the same routine. A program's `start` names
 variables that begin at their finite upper bound instead of their lower
 one (a crash start). Phase 1 runs only if that point leaves some
@@ -120,22 +120,20 @@ class LpBuilder:
         self.lower = []
         self.upper = []
         self.objective = []
-        self.names = []
         self.constraints = []
 
     @property
     def n(self):
         return len(self.lower)
 
-    def add_var(self, name="", lower=0.0, upper=math.inf, objective=0.0) -> int:
+    def add_var(self, lower=0.0, upper=math.inf, objective=0.0) -> int:
         self.lower.append(float(lower))
         self.upper.append(float(upper))
         self.objective.append(float(objective))
-        self.names.append(name or f"x{self.n - 1}")
         return self.n - 1
 
-    def add_vars(self, count, prefix="x", lower=0.0, upper=math.inf) -> list:
-        return [self.add_var(f"{prefix}[{k}]", lower, upper) for k in range(count)]
+    def add_vars(self, count, lower=0.0, upper=math.inf) -> list:
+        return [self.add_var(lower, upper) for _ in range(count)]
 
     def set_objective(self, var, coef):
         self.objective[var] += coef
@@ -170,49 +168,51 @@ class LpBuilder:
         )
 
 
-def _to_standard_form(lp: LinearProgram):
-    """Rewrite as max c.u, A u (rels) b, 0 <= u <= ub, with b >= 0.
+def _tableau(lp: LinearProgram):
+    """The starting tableau of max c.u, A u (rels) b, 0 <= u <= ub, b >= 0,
+    as (T, basis, ub, flipped, first_art), `ub` and `flipped` per column.
 
-    Every variable has a finite lower bound, so there is one column kind:
-    u = x - lower, with upper bound upper - lower (math.inf when there is
-    none). A column in `lp.start` is reflected up front, u' = ub - u, so
-    its variable begins at its upper bound; `flipped` marks those columns,
-    and `c` stays in terms of u, as the simplex's own reflections keep it.
-    Returns (c, A, b, rels, ub, flipped, const, sign): `A` is the dense
-    constraint matrix with one row per constraint, `rels` the relation of
-    each row, and `const` and `sign` map c.u back to the original
-    objective. A row whose right side comes out negative is negated, with
-    its relation flipped. Bounds stay bounds: the simplex handles them in
-    its ratio test, not as rows.
+    Each variable is shifted by its finite lower bound, u = x - lower, with
+    ub = upper - lower (math.inf when there is none), each `lp.start` column
+    is reflected by `_reflect` in ascending order, and each row whose right
+    side is then negative is negated, its relation flipped. Only then are
+    the artificials known: each `<=`/`>=` row gets a slack and each `>=`/`=`
+    row an artificial (slacks first, each kind in row order), the row's last
+    added column basic. Bounds stay bounds, handled by the ratio test.
     """
-    sign = 1.0 if lp.sense == "max" else -1.0
-    c = sign * np.array(lp.objective, dtype=float)
-    const = 0.0
-    for coef, lo in zip(c, lp.lower):
-        const += coef * lo
+    n, rows = lp.n, lp.constraints
     ub = np.array(lp.upper, dtype=float) - np.array(lp.lower, dtype=float)
-    flipped = np.zeros(lp.n, dtype=bool)
-    flipped[list(lp.start)] = True
-
-    A = np.zeros((len(lp.constraints), lp.n))
-    rhs = np.zeros(len(lp.constraints))
-    rels = []
-    for r, con in enumerate(lp.constraints):
+    flipped = np.zeros(n, dtype=bool)
+    A = np.zeros((len(rows) + 1, n + 1))  # the variables' columns and the rhs
+    for r, con in enumerate(rows):
         right = con.rhs
         for var, coef in con.coefficients.items():
             right -= coef * lp.lower[var]
-            if flipped[var]:
-                right -= coef * ub[var]
-                coef = -coef
             A[r, var] = coef
-        rel = con.relation
-        if right < 0:
-            A[r] *= -1.0
-            right = -right
-            rel = {LE: GE, GE: LE, EQ: EQ}[rel]
-        rhs[r] = right
-        rels.append(rel)
-    return c, A, rhs, rels, ub, flipped, const, sign
+        A[r, -1] = right
+    for col in sorted(lp.start):
+        _reflect(A, col, ub, flipped)
+    rels = [con.relation for con in rows]
+    for r in (A[:-1, -1] < 0).nonzero()[0]:
+        A[r] *= -1.0
+        rels[r] = {LE: GE, GE: LE, EQ: EQ}[rels[r]]
+    first_art = n + sum(rel != EQ for rel in rels)
+    total = first_art + sum(rel != LE for rel in rels)
+    T = np.zeros((len(rows) + 1, total + 1))
+    T[:, :n], T[:, -1] = A[:, :n], A[:, -1]
+    basis = np.zeros(len(rows), dtype=int)
+    slack, art = n, first_art
+    for r, rel in enumerate(rels):
+        if rel != EQ:
+            T[r, slack] = 1.0 if rel == LE else -1.0
+            basis[r] = slack
+            slack += 1
+        if rel != LE:
+            T[r, art] = 1.0
+            basis[r] = art
+            art += 1
+    ub = np.concatenate((ub, np.full(total - n, math.inf)))
+    return T, basis, ub, np.concatenate((flipped, np.zeros(total - n, dtype=bool))), first_art
 
 
 def _pivot(T, basis, row, col):
@@ -231,8 +231,9 @@ def _reflect(T, col, ub, flipped):
     """Substitute u' = ub - u for nonbasic column `col`, so the variable
     that sat at its upper bound sits at 0 again: the rhs column (objective
     row included) absorbs the shift and the column changes sign."""
-    T[:, -1] -= T[:, col] * ub[col]
-    T[:, col] *= -1.0
+    column = T[:, col]
+    T[:, -1] -= column * ub[col]
+    column *= -1.0
     flipped[col] = not flipped[col]
 
 
@@ -242,12 +243,11 @@ def _price(T, basis, cost):
     column b, in row order."""
     T[-1] = 0.0
     T[-1, : len(cost)] = -cost
-    for r, bc in enumerate(basis):
-        if cost[bc] != 0.0:
-            T[-1] += cost[bc] * T[r]
+    for r in cost[basis].nonzero()[0]:
+        T[-1] += cost[basis[r]] * T[r]
 
 
-def _simplex(T, basis, ub, flipped, n_cols, start_iter, max_iter):
+def _simplex(T, basis, ub, flipped, n_cols, start_iter):
     """Bounded-variable primal simplex on tableau T (last row = objective,
     last col = rhs), every nonbasic column at 0 after reflection.
 
@@ -266,11 +266,10 @@ def _simplex(T, basis, ub, flipped, n_cols, start_iter, max_iter):
     """
     it = start_iter
     m_rows = T.shape[0] - 1
-    basis_arr = np.array(basis, dtype=int)
     can_enter = ub[:n_cols] > 0.0
     degenerate = 0
     while True:
-        if it >= max_iter:
+        if it >= MAX_ITER:
             return ITERATION_LIMIT, it
         reduced = T[-1, :n_cols]
         eligible = (reduced < -PIVOT_TOL) & can_enter
@@ -282,7 +281,7 @@ def _simplex(T, basis, ub, flipped, n_cols, start_iter, max_iter):
             enter = int(eligible.argmax())
         col = T[:m_rows, enter]
         rhs = T[:m_rows, -1]
-        ub_basic = ub[basis_arr]
+        ub_basic = ub[basis]
         down = (col > PIVOT_TOL).nonzero()[0]
         up = ((col < -PIVOT_TOL) & (ub_basic < math.inf)).nonzero()[0]
         ratios = np.maximum(
@@ -297,76 +296,55 @@ def _simplex(T, basis, ub, flipped, n_cols, start_iter, max_iter):
         else:
             cand = (ratios <= step + 1e-12).nonzero()[0]
             rows = np.concatenate((down, up))[cand]
-            pick = int(basis_arr[rows].argmin())
-            row, leaving = int(rows[pick]), int(basis_arr[rows[pick]])
+            pick = int(basis[rows].argmin())
+            row, leaving = int(rows[pick]), int(basis[rows[pick]])
             _pivot(T, basis, row, enter)
-            basis_arr[row] = enter
             if cand[pick] >= down.size:  # it left at its upper bound
                 _reflect(T, leaving, ub, flipped)
             degenerate = degenerate + 1 if step <= PIVOT_TOL else 0
         it += 1
 
 
-def solve(lp: LinearProgram, max_iter=MAX_ITER) -> LpSolution:
+def solve(lp: LinearProgram) -> LpSolution:
     """Two-phase bounded-variable primal simplex. Deterministic for a fixed input.
 
-    One path for every program: standard form (each variable shifted by
-    its finite lower bound, so x = lower + u at the end, and each `start`
-    variable at its upper bound), then a tableau with one slack per
-    `<=`/`>=` row and one artificial per `>=`/`=` row (in row order), then
-    phase 1 (maximize minus the sum of the artificials) if some artificial
-    is positive at the start, then phase 2 on the reflected costs. A
-    program with no rows takes the same path; its phase 2 flips each
-    variable whose cost points up to its bound.
+    One path for every program: `_tableau` (each variable shifted by its
+    finite lower bound, so x = lower + u at the end, each `start` variable
+    at its upper bound, one slack per `<=`/`>=` row and one artificial per
+    `>=`/`=` row), then phase 1 (maximize minus the sum of the artificials)
+    if some artificial is positive at the start, then phase 2 on the
+    reflected costs. A program with no rows takes the same path; its phase 2
+    flips each variable whose cost points up to its bound. Iterations stop
+    at MAX_ITER, read at call time.
     """
-    c, A, b, rels, ub_std, flipped_std, const, sign = _to_standard_form(lp)
-    m_rows, n = A.shape
-    n_slack = sum(rel != EQ for rel in rels)
-    first_art = n + n_slack
-    total = first_art + sum(rel != LE for rel in rels)
-    ub = np.concatenate((ub_std, np.full(total - n, math.inf)))
-    flipped = np.concatenate((flipped_std, np.zeros(total - n, dtype=bool)))
-
-    T = np.zeros((m_rows + 1, total + 1))
-    T[:m_rows, :n] = A
-    T[:m_rows, -1] = b
-    basis = [0] * m_rows
-    slack, art = n, first_art
-    for r, rel in enumerate(rels):
-        if rel != EQ:
-            T[r, slack] = 1.0 if rel == LE else -1.0
-            basis[r] = slack
-            slack += 1
-        if rel != LE:
-            T[r, art] = 1.0
-            basis[r] = art
-            art += 1
-
+    T, basis, ub, flipped, first_art = _tableau(lp)
+    m_rows, n, total = len(basis), lp.n, len(ub)
     iters = 0
-    if any(bc >= first_art and T[r, -1] > 0.0 for r, bc in enumerate(basis)):
+    if (T[:m_rows, -1][basis >= first_art] > 0.0).any():
         # phase 1: maximize -sum(artificials)
         cost = np.zeros(total)
         cost[first_art:] = -1.0
         _price(T, basis, cost)
-        status, iters = _simplex(T, basis, ub, flipped, total, 0, max_iter)
+        status, iters = _simplex(T, basis, ub, flipped, total, 0)
         if status == ITERATION_LIMIT:
             return LpSolution(ITERATION_LIMIT, iterations=iters)
         if -T[-1, -1] > 1e-7:
             return LpSolution(INFEASIBLE, iterations=iters)
     # drive remaining artificials out of the basis; an artificial with no
     # pivot in its row marks a redundant row and stays basic at value 0
-    for r in range(m_rows):
-        if basis[r] >= first_art:
-            piv = (np.abs(T[r, :first_art]) > PIVOT_TOL).nonzero()[0]
-            if piv.size:
-                _pivot(T, basis, r, int(piv[0]))
+    for r in (basis >= first_art).nonzero()[0]:
+        piv = (np.abs(T[r, :first_art]) > PIVOT_TOL).nonzero()[0]
+        if piv.size:
+            _pivot(T, basis, r, int(piv[0]))
     T[:, first_art:total] = 0.0
 
     # phase 2: reduced costs of the reflected columns
+    objective = np.array(lp.objective, dtype=float)
+    c = objective if lp.sense == "max" else -objective
     cost = np.zeros(total)
     cost[:n] = np.where(flipped[:n], -c, c)
     _price(T, basis, cost)
-    status, iters = _simplex(T, basis, ub, flipped, first_art, iters, max_iter)
+    status, iters = _simplex(T, basis, ub, flipped, first_art, iters)
     if status != OPTIMAL:
         return LpSolution(status, iterations=iters)
 
@@ -374,8 +352,7 @@ def solve(lp: LinearProgram, max_iter=MAX_ITER) -> LpSolution:
     u[basis] = T[:m_rows, -1]
     u[flipped] = ub[flipped] - u[flipped]
     x = np.array(lp.lower, dtype=float) + u[:n]
-    obj = float(np.dot(c, u[:n]) + const) * sign
-    return LpSolution(OPTIMAL, obj, x, iterations=iters)
+    return LpSolution(OPTIMAL, float(np.dot(objective, x)), x, iterations=iters)
 
 
 def verify(lp: LinearProgram, sol: LpSolution, tol: float = VALUE_TOL) -> bool:

@@ -22,6 +22,8 @@ import numpy as np
 
 from .lp import EQ, GE, LE, LinearConstraint
 
+SEPARATION_TOL = 1e-7  # smallest excess `separate_permutahedron` reports
+
 
 @dataclass(frozen=True)
 class Permutation:
@@ -105,7 +107,7 @@ def rado_bound(m: int, k: int) -> int:
     return math.comb(m + 1, 2) - math.comb(m + 1 - k, 2)
 
 
-def separate_permutahedron(m: int, y, tolerance: float = 1e-7):
+def separate_permutahedron(m: int, y):
     """Return the most violated position-polytope constraint at y, or None.
 
     Checks the total-sum equality first, then, for each cardinality k, the
@@ -117,7 +119,7 @@ def separate_permutahedron(m: int, y, tolerance: float = 1e-7):
         raise ValueError("dimension mismatch")
     total = math.comb(m + 1, 2)
     s = sum(y)
-    if abs(s - total) > tolerance:
+    if abs(s - total) > SEPARATION_TOL:
         return LinearConstraint({i: 1.0 for i in range(m)}, EQ, float(total), name="position-sum")
     idx = sorted(range(m), key=lambda i: (-y[i], i))
     best = None
@@ -125,7 +127,7 @@ def separate_permutahedron(m: int, y, tolerance: float = 1e-7):
     for k in range(1, m + 1):
         prefix += y[idx[k - 1]]
         excess = prefix - rado_bound(m, k)
-        if excess > tolerance and (best is None or excess > best[0]):
+        if excess > SEPARATION_TOL and (best is None or excess > best[0]):
             best = (excess, k)
     if best is None:
         return None
@@ -192,7 +194,7 @@ def birkhoff_extension(m: int, y_vars, builder):
     z variables are allocated on `builder`, the constraints are returned
     (not added) so callers control assembly.
     """
-    z = [[builder.add_var(f"z[{i},{j}]", 0.0, 1.0) for j in range(m)] for i in range(m)]
+    z = [[builder.add_var(0.0, 1.0) for _ in range(m)] for _ in range(m)]
     cons = []
     for i in range(m):
         cons.append(

@@ -100,7 +100,7 @@ def build_master_lp(instance: Instance, mode: str = EXTENDED):
         raise SolveError(f"unknown mode {mode!r}")
     m = instance.m
     b = LpBuilder()
-    h = [[b.add_var(f"h[{i},{j}]", 0.0, 1.0) for j in range(m)] for i in range(m)]
+    h = [[b.add_var(0.0, 1.0) for _ in range(m)] for _ in range(m)]
     b.add_all(chain_constraints(m, h))
     for j in range(1, m + 1):
         emit_step(instance, j, {e: h[i][j - 1] for i, e in enumerate(instance.orderable)}, b)

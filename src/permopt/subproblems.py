@@ -4,12 +4,13 @@ A family is one data class, `MatchingInstance` or `FlowInstance`, and each
 class carries both faces of its subproblem: `grow(state, added)`, an
 independent combinatorial oracle (matching by enumeration, flow by augmenting
 paths) that gives the value once `added` become usable too and the state to
-grow on from, and `emit`, the per-step LP block coupled to a chain column,
-whose values the oracle cross-checks. Every solver reads values by walking
-`grow` along its own chain of sets: `subset_values`,
-`scheduler.evaluate_schedule` and the greedies. `value` and `support` (one cold
-run's value and optimal elements), `elements`, `values` and `scaled` (a copy in
-other units) sit alongside. The flow family's one structure is
+grow on from, and `block`, the per-step LP block stated once as data (ids,
+bounds, objective coefficients, rows), whose values the oracle cross-checks.
+`emit_step` alone lays any block out against a chain column. Every solver
+reads values by walking `grow` along its own chain of sets: `subset_values`,
+`scheduler.evaluate_schedule` and the greedies. `value` and `support` (one
+cold run's value and optimal elements), `elements`, `values` and `scaled` (a
+copy in other units) sit alongside. The flow family's one structure is
 `FlowInstance.network`, a `FlowNetwork`. `Instance` holds exactly one family
 object, so the solvers never ask which family they run on. Its exact order, the
 one subset DP `_best_order` over the `subset_values` table (m <= SUBSET_GUARD),
@@ -83,24 +84,18 @@ class MatchingInstance:
     def scaled(self, scale: float) -> MatchingInstance:
         return replace(self, weights={e: w / scale for e, w in self.weights.items()})
 
-    def emit(self, j, h_vars, builder) -> dict:
-        """Step-j matching block: x[e] in [0, 1] at weight w_e, x[e] <= h[e]
-        for orderable edges, and one degree row per vertex."""
-        x = {}
-        for e in sorted(self.edges):
-            x[e] = builder.add_var(f"x{j}[{e}]", 0.0, 1.0)
-            builder.set_objective(x[e], self.weights[e])
-            if e in h_vars:
-                builder.add(LinearConstraint({x[e]: 1.0, h_vars[e]: -1.0}, LE, 0.0,
-                                             name=f"avail{j}[{e}]"))
+    @cached_property
+    def block(self) -> tuple:
+        """Step block, built once: edges in ascending id, each in [0, 1] at
+        its weight, and one `<= 1` degree row per vertex in sorted order."""
+        ids = tuple(sorted(self.edges))
+        at = {e: k for k, e in enumerate(ids)}
         by_vertex = {}
         for e, (u, v) in self.edges.items():
-            by_vertex.setdefault(u, []).append(e)
-            by_vertex.setdefault(v, []).append(e)
-        for v in sorted(by_vertex):
-            builder.add(LinearConstraint({x[e]: 1.0 for e in by_vertex[v]}, LE, 1.0,
-                                         name=f"deg{j}[{v}]"))
-        return x
+            by_vertex.setdefault(u, {})[at[e]] = 1.0
+            by_vertex.setdefault(v, {})[at[e]] = 1.0
+        rows = [(by_vertex[v], LE, 1.0) for v in sorted(by_vertex)]
+        return ids, [1.0] * len(ids), [self.weights[e] for e in ids], rows
 
 
 @dataclass(frozen=True)
@@ -182,29 +177,24 @@ class FlowInstance:
     def scaled(self, scale: float) -> FlowInstance:
         return replace(self, capacities={a: c / scale for a, c in self.capacities.items()})
 
-    def emit(self, j, h_vars, builder) -> dict:
-        """Step-j flow block: f[a] in [0, cap_a], f[a] <= cap_a * h[a] for
-        orderable arcs, conservation at every inner node, and the source's
-        net outflow as the objective, all read off `network`; a self-loop's
-        +1 and -1 cancel."""
-        net, f = self.network, []
-        for a, cap in zip(net.arcs, net.caps):
-            f.append(builder.add_var(f"f{j}[{a}]", 0.0, cap))
-            # a zero-capacity arc is already held at zero by its [0, 0] bound
-            if a in h_vars and cap > 0:
-                builder.add(LinearConstraint({f[-1]: 1.0, h_vars[a]: -cap}, LE, 0.0,
-                                             name=f"avail{j}[{a}]"))
+    @cached_property
+    def block(self) -> tuple:
+        """Step block read off `network`, built once: arcs in ascending id,
+        each in [0, cap], the source's net outflow as the objective (the
+        value `grow` counts), and one `= 0` conservation row per inner node
+        in sorted order; zero sums are dropped, so a self-loop cancels."""
+        net, objective, rows = self.network, [0.0] * len(self.network.arcs), []
         for node in sorted(net.out.keys() | net.into.keys()):
-            coefs = {f[k]: 1.0 for k, _, _ in net.out.get(node, ())}
+            coefs = {k: 1.0 for k, _, _ in net.out.get(node, ())}
             for k, _, _ in net.into.get(node, ()):
-                coefs[f[k]] = coefs.get(f[k], 0.0) - 1.0
-            coefs = {var: c for var, c in coefs.items() if c != 0.0}
-            if node == self.source:  # its net outflow, the value `grow` counts
-                for var, c in coefs.items():
-                    builder.set_objective(var, c)
+                coefs[k] = coefs.get(k, 0.0) - 1.0
+            coefs = {k: c for k, c in coefs.items() if c != 0.0}
+            if node == self.source:
+                for k, c in coefs.items():
+                    objective[k] = c
             elif node != self.sink and coefs:
-                builder.add(LinearConstraint(coefs, EQ, 0.0, name=f"conserve{j}[{node}]"))
-        return dict(zip(net.arcs, f))
+                rows.append((coefs, EQ, 0.0))
+        return net.arcs, net.caps, objective, rows
 
 
 @dataclass(frozen=True)
@@ -425,13 +415,20 @@ def _best_order(table, m: int):
     return total, tuple(order)
 
 
-def emit_step(instance: Instance, j: int, h_vars, builder):
-    """Add the step-j subproblem block to `builder`.
-
-    h_vars maps orderable element id -> the chain variable for column j.
-    Returns the new variable ids, a dict element id -> var. The block's
-    constraints and objective terms are installed on the builder.
-    """
+def emit_step(instance: Instance, j: int, h_vars, builder) -> dict:
+    """Add the step-j subproblem block to `builder`: one variable per
+    element of the family's `block` in [0, bound] at its objective
+    coefficient, x_e - bound_e * h_e <= 0 for each orderable element whose
+    bound is positive (a zero bound already holds x_e at zero), then the
+    block's rows. h_vars maps orderable element id -> the chain variable for
+    column j. Returns the new variables, a dict element id -> var."""
     if not (1 <= j <= instance.m):
         raise InstanceError(f"step {j} out of range")
-    return instance.data.emit(j, h_vars, builder)
+    ids, bounds, objective, rows = instance.data.block
+    x = [builder.add_var(0.0, bound, c) for bound, c in zip(bounds, objective)]
+    for e, var, bound in zip(ids, x, bounds):
+        if e in h_vars and bound > 0:
+            builder.add(LinearConstraint({var: 1.0, h_vars[e]: -bound}, LE, 0.0))
+    for coefs, rel, rhs in rows:
+        builder.add(LinearConstraint({x[k]: c for k, c in coefs.items()}, rel, rhs))
+    return dict(zip(ids, x))

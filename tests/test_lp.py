@@ -26,7 +26,7 @@ from permopt.scheduler import build_master_lp
 
 def simple_lp(sense="max"):
     b = LpBuilder()
-    b.add_var("x", 0.0, 1.0, objective=1.0)
+    b.add_var(0.0, 1.0, objective=1.0)
     return b.build(sense)
 
 
@@ -39,7 +39,7 @@ def test_box_maximum():
 
 def test_infeasible():
     b = LpBuilder()
-    x = b.add_var("x")
+    x = b.add_var()
     b.constraints.append(LinearConstraint({x: 1.0}, LE, 0.0))
     b.constraints.append(LinearConstraint({x: 1.0}, GE, 1.0))
     assert solve(b.build("max")).status == INFEASIBLE
@@ -47,7 +47,7 @@ def test_infeasible():
 
 def test_unbounded():
     b = LpBuilder()
-    b.add_var("x", lower=0.0, objective=1.0)
+    b.add_var(lower=0.0, objective=1.0)
     assert solve(b.build("max")).status == UNBOUNDED
 
 
@@ -93,7 +93,7 @@ def test_start_variables_need_a_declared_finite_upper_bound():
         with pytest.raises(LpError, match="start variable"):
             LinearProgram(2, [0.0, 0.0], [1.0, math.inf], [0.0, 0.0], "max", start=start)
     b = LpBuilder()
-    b.add_var("x", 0.0, math.inf)
+    b.add_var(0.0, math.inf)
     with pytest.raises(LpError, match="start variable"):
         b.build("max", start=[0])
 
@@ -103,7 +103,7 @@ def test_start_at_an_optimal_vertex_takes_no_iteration():
     # x = 0, y = z = 1 every row holds with its artificial at 0, so there is
     # no phase 1, and no reduced cost improves, so there is no pivot
     b = LpBuilder()
-    x, y, z = (b.add_var(name, 0.0, 1.0, objective=1.0) for name in "xyz")
+    x, y, z = (b.add_var(0.0, 1.0, objective=1.0) for _ in "xyz")
     b.add(LinearConstraint({x: 1.0, y: 1.0}, EQ, 1.0))
     b.add(LinearConstraint({y: 1.0, z: -1.0}, GE, 0.0))
     lp = b.build("max", start=[y, z])
@@ -130,8 +130,8 @@ def test_identity_chain_start_saves_iterations_on_a_flow_master():
 def test_equality_and_a_negative_lower_bound():
     # max x + y s.t. x + y = 3, x - y <= 1, y >= -10
     b = LpBuilder()
-    x = b.add_var("x", 0.0, math.inf, objective=1.0)
-    y = b.add_var("y", -10.0, math.inf, objective=1.0)
+    x = b.add_var(0.0, math.inf, objective=1.0)
+    y = b.add_var(-10.0, math.inf, objective=1.0)
     b.add(LinearConstraint({x: 1.0, y: 1.0}, EQ, 3.0))
     b.add(LinearConstraint({x: 1.0, y: -1.0}, LE, 1.0))
     sol = solve(b.build("max"))
@@ -142,7 +142,7 @@ def test_equality_and_a_negative_lower_bound():
 
 def test_minimization():
     b = LpBuilder()
-    x = b.add_var("x", 0.0, 10.0, objective=1.0)
+    x = b.add_var(0.0, 10.0, objective=1.0)
     b.add(LinearConstraint({x: 1.0}, GE, 2.5))
     sol = solve(b.build("min"))
     assert sol.status == OPTIMAL
@@ -155,11 +155,11 @@ def test_random_boxes_analytic_optimum():
         n = rng.randint(1, 6)
         b = LpBuilder()
         expected = 0.0
-        for i in range(n):
+        for _ in range(n):
             lo = rng.uniform(-5, 0)
             hi = lo + rng.uniform(0, 5)
             c = rng.uniform(-3, 3)
-            b.add_var(f"x{i}", lo, hi, objective=c)
+            b.add_var(lo, hi, objective=c)
             expected += c * (hi if c > 0 else lo)
         lp = b.build("max")
         sol = solve(lp)
@@ -176,7 +176,7 @@ def test_random_simplices_analytic_optimum():
         r = rng.uniform(0.5, 4.0)
         c = [rng.uniform(-2, 3) for _ in range(n)]
         b = LpBuilder()
-        xs = [b.add_var(f"x{i}", 0.0, math.inf, objective=c[i]) for i in range(n)]
+        xs = [b.add_var(0.0, math.inf, objective=c[i]) for i in range(n)]
         b.add(LinearConstraint({x: 1.0 for x in xs}, LE, r))
         lp = b.build("max")
         sol = solve(lp)
@@ -187,7 +187,7 @@ def test_random_simplices_analytic_optimum():
 
 def test_determinism():
     b = LpBuilder()
-    xs = [b.add_var(f"x{i}", 0.0, 1.0, objective=1.0) for i in range(5)]
+    xs = [b.add_var(0.0, 1.0, objective=1.0) for _ in range(5)]
     b.add(LinearConstraint({x: 1.0 for x in xs}, LE, 2.5))
     lp = b.build("max")
     s1, s2 = solve(lp), solve(lp)
@@ -198,7 +198,7 @@ def test_determinism():
 
 def test_builder_folds_singleton_constraints():
     b = LpBuilder()
-    x = b.add_var("x", 0.0, 10.0)
+    x = b.add_var(0.0, 10.0)
     b.add(LinearConstraint({x: 2.0}, LE, 6.0))
     assert b.upper[x] == 3.0
     assert not b.constraints
@@ -228,8 +228,8 @@ def test_entering_variable_flips_to_its_upper_bound(simplex_events):
     # max x + y s.t. x + y <= 10, x <= 1, y <= 2: the row never binds, so
     # each entering variable stops at its own bound and the basis stays put
     b = LpBuilder()
-    x = b.add_var("x", 0.0, 1.0, objective=1.0)
-    y = b.add_var("y", 0.0, 2.0, objective=1.0)
+    x = b.add_var(0.0, 1.0, objective=1.0)
+    y = b.add_var(0.0, 2.0, objective=1.0)
     b.add(LinearConstraint({x: 1.0, y: 1.0}, LE, 10.0))
     lp = b.build("max")
     sol = solve(lp)
@@ -246,8 +246,8 @@ def test_basic_variable_leaves_at_its_upper_bound(simplex_events):
     # first (degenerate, on the first row); then y enters and pushes the
     # basic x up to its bound 1 before any row binds, so x leaves there
     b = LpBuilder()
-    x = b.add_var("x", 0.0, 1.0, objective=3.0)
-    y = b.add_var("y", 0.0, 5.0, objective=1.0)
+    x = b.add_var(0.0, 1.0, objective=3.0)
+    y = b.add_var(0.0, 5.0, objective=1.0)
     b.add(LinearConstraint({x: 1.0, y: -1.0}, LE, 0.0))
     b.add(LinearConstraint({x: 1.0, y: 1.0}, LE, 4.0))
     lp = b.build("max")
@@ -299,7 +299,7 @@ def beale_lp(x2_bound_as_row):
     b = LpBuilder()
     for i, c in enumerate([0.75, -20.0, 0.5, -6.0]):
         upper = 1.0 if i == 2 and not x2_bound_as_row else math.inf
-        b.add_var(f"x{i}", 0.0, upper, objective=c)
+        b.add_var(0.0, upper, objective=c)
     b.add(LinearConstraint({0: 0.25, 1: -8.0, 2: -1.0, 3: 9.0}, LE, 0.0))
     b.add(LinearConstraint({0: 0.5, 1: -12.0, 2: -0.5, 3: 3.0}, LE, 0.0))
     if x2_bound_as_row:
@@ -319,4 +319,5 @@ def test_beale_cycling_example(x2_bound_as_row, monkeypatch):
     # Dantzig pricing alone cycles here: the Bland fallback is what ends it
     assert sol.iterations > lpmod.DEGENERATE_LIMIT
     monkeypatch.setattr(lpmod, "DEGENERATE_LIMIT", 10**9)
-    assert solve(lp, max_iter=1000).status == ITERATION_LIMIT
+    monkeypatch.setattr(lpmod, "MAX_ITER", 1000)
+    assert solve(lp).status == ITERATION_LIMIT

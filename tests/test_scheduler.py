@@ -60,7 +60,7 @@ def birkhoff_master_value(instance):
     must match."""
     builder, h = build_master_lp(instance)
     m = instance.m
-    y = [builder.add_var(f"y[{i}]", 1.0, float(m)) for i in range(m)]
+    y = [builder.add_var(1.0, float(m)) for _ in range(m)]
     builder.add_all(chain_transform_constraints(m, y, h))
     _, cons = birkhoff_extension(m, y, builder)
     builder.add_all(cons)
@@ -319,6 +319,18 @@ class TestWideRange:
             for seed in range(seeds):
                 rng = random.Random(f"{make.__name__}/{m}/{k}/{seed}")
                 assert_optimal_or_typed_error(spiked(make(rng, m), 10.0 ** k, rng))
+
+    # spiked flow masters on which the simplex stops at a point off the
+    # permutahedron (12 keys) or, (6, 10, 13), reports an unbounded program
+    # although every master variable has finite bounds; each must still end
+    # in brute force's total or a typed error
+    @pytest.mark.parametrize("m,k,seed", [
+        (6, 6, 16), (6, 8, 17), (6, 10, 13), (6, 13, 19), (7, 6, 15), (7, 8, 11), (7, 8, 16),
+        (7, 9, 19), (7, 11, 18), (7, 12, 13), (7, 12, 14), (7, 13, 17), (7, 14, 15),
+    ])
+    def test_spiked_flow_master(self, m, k, seed):
+        rng = random.Random(f"{m}/{k}/{seed}")
+        assert_optimal_or_typed_error(spiked(random_flow_instance(rng, m), 10.0 ** k, rng))
 
 
 class TestRepairSubsetDp:

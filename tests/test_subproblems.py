@@ -12,7 +12,7 @@ from conftest import (
     random_network_instance,
 )
 from permopt.instance_io import bundled_instance
-from permopt.lp import OPTIMAL, LpBuilder, solve
+from permopt.lp import EQ, LE, OPTIMAL, LpBuilder, solve
 from permopt.scheduler import solve_schedule
 from permopt.subproblems import (
     FlowInstance,
@@ -162,7 +162,7 @@ def step_lp_value(instance: Instance, subset) -> float:
     h = {}
     for e in instance.orderable:
         v = 1.0 if e in subset else 0.0
-        h[e] = b.add_var(f"h[{e}]", v, v)
+        h[e] = b.add_var(v, v)
     emit_step(instance, 1, h, b)
     sol = solve(b.build("max"))
     assert sol.status == OPTIMAL
@@ -211,6 +211,24 @@ class TestEmitStep:
         # availability row with a zero coefficient is emitted
         data = FlowInstance({0: (0, 2), 1: (2, 1), 2: (0, 1)}, {0: 0.0, 1: 3.0, 2: 1.0}, 0, 1)
         assert_block_equals_oracle(make_instance(data, []))
+
+    def test_matching_block_is_data_built_once(self):
+        # edges in ascending id, bound 1, the weights, one <= 1 row per vertex
+        data = MatchingInstance({3: (0, 5), 1: (0, 4), 2: (1, 4)}, {3: 2.0, 1: 1.0, 2: 4.0},
+                                frozenset({0, 1}))
+        assert data.block == ((1, 2, 3), [1.0, 1.0, 1.0], [1.0, 4.0, 2.0], [
+            ({2: 1.0, 0: 1.0}, LE, 1.0), ({1: 1.0}, LE, 1.0),
+            ({0: 1.0, 1: 1.0}, LE, 1.0), ({2: 1.0}, LE, 1.0)])
+        assert data.block is data.block
+
+    def test_flow_block_is_data_built_once(self):
+        # a self-loop at 2 cancels; the source's net outflow is the
+        # objective; no row for the source or the sink
+        data = FlowInstance({0: (0, 2), 1: (2, 2), 2: (2, 0), 3: (2, 1)},
+                            {0: 5.0, 1: 1.0, 2: 2.0, 3: math.inf}, 0, 1)
+        assert data.block == ((0, 1, 2, 3), [5.0, 1.0, 2.0, 8.0], [1.0, 0.0, -1.0, 0.0],
+                              [({2: 1.0, 3: 1.0, 0: -1.0}, EQ, 0.0)])
+        assert data.block is data.block
 
     def test_bad_step_index(self):
         inst = bundled_instance("g1")
