@@ -4,9 +4,12 @@ monotone-submodular greedy with its approximation-ratio lower bound.
 All greedies run one marginal-gain loop (`_greedy`) that grows each
 candidate from the realized set's state with a `grow` they pass in: the
 family's for instances, one over tuples for set functions. Brute force is
-the repair, `scheduler._repair_subset_dp`. Both brute forces take the
-lexicographically first best order of `subproblems._best_order`, a subset
-DP over a bitmask table of values in O(m·2^m) steps, for m <= SUBSET_GUARD.
+the repair, `scheduler._repair_subset_dp`: the instance's exact order,
+certified by the family's duals (`subproblems.exact_order`). Both brute
+forces take the lexicographically first best order of
+`subproblems._best_order`, a subset DP over the 2^m bitmasks in numpy, for
+m <= SUBSET_GUARD; for a set function it reads the table of every subset's
+value.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ def greedy_optimal_first(instance: Instance) -> Schedule:
 
 def brute_force(instance: Instance) -> Schedule:
     """Exact optimum, the lexicographically first best realization order:
-    the repair's, from the instance's one subset DP (m <= SUBSET_GUARD)."""
+    the repair's, the instance's one exact order (m <= SUBSET_GUARD)."""
     return replace(_repair_subset_dp(instance), method="brute")
 
 

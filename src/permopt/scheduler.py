@@ -8,8 +8,9 @@ y_i = m + 1 - sum_j h[i][j] to the permutahedron, so the program carries
 no position variables. Its optimum bounds the best cumulative schedule
 value; the ordering is read off the positions and re-certified against
 the combinatorial oracles. An ordering that falls short of the bound is
-repaired by `Instance._exact_order`, the one subset DP, which brute force
-reads too: ties go to the lexicographically first best order.
+repaired by `Instance._exact_order`, the one exact order, certified by the
+family's duals (`subproblems.exact_order`), which brute force reads too:
+ties go to the lexicographically first best order.
 
 The simplex works to absolute tolerances, so the master is solved on a
 copy of the instance in units of the power of two nearest f(all), the value
@@ -36,7 +37,7 @@ from .perms import (
     permutation_from_point,
     separate_permutahedron,
 )
-from .subproblems import Instance, InstanceError, emit_step
+from .subproblems import Instance, InstanceError, SolveError, emit_step
 from .subproblems import step_value  # unused here: only the benchmark tracer wraps it
 
 # Two names for the one master program, kept so existing callers still work.
@@ -45,10 +46,6 @@ CUTTING_PLANE = "cutting-plane"
 MODES = (EXTENDED, CUTTING_PLANE)
 
 VALUE_TOL = 1e-6
-
-
-class SolveError(Exception):
-    """Master LP or repair failure."""
 
 
 @dataclass
@@ -173,7 +170,7 @@ def solve_schedule(instance: Instance, mode: str = EXTENDED) -> Schedule:
 
 
 def _repair_subset_dp(instance: Instance) -> Schedule:
-    """Exact optimum: the instance's one subset-DP order, `_exact_order`."""
+    """Exact optimum: the instance's one exact order, `_exact_order`."""
     return evaluate_schedule(instance, Permutation.from_order(instance._exact_order))
 
 

@@ -7,14 +7,18 @@ paths) that gives the value once `added` become usable too and the state to
 grow on from, and `block`, the per-step LP block stated once as data (ids,
 bounds, objective coefficients, rows), whose values the oracle cross-checks.
 `emit_step` alone lays any block out against a chain column. Every solver
-reads values by walking `grow` along its own chain of sets: `subset_values`,
-`scheduler.evaluate_schedule` and the greedies. `value` and `support` (one
-cold run's value and optimal elements), `elements`, `values` and `scaled` (a
-copy in other units) sit alongside. The flow family's one structure is
-`FlowInstance.network`, a `FlowNetwork`. `Instance` holds exactly one family
-object, so the solvers never ask which family they run on. Its exact order, the
-one subset DP `_best_order` over the `subset_values` table (m <= SUBSET_GUARD),
-is built at most once and shared by every exact method.
+reads values by walking `grow` along its own chain of sets: `exact_order`,
+`scheduler.evaluate_schedule` and the greedies. `dual(value, state)` reads a
+modular upper bound on every set's value off a state of `grow`, tight at the
+state's own set: the residual graph's min cut for flows, the marginal bound
+for matchings. `value` and `support` (one cold run's value and optimal
+elements), `elements`, `values` and `scaled` (a copy in other units) sit
+alongside. The flow family's one structure is `FlowInstance.network`, a
+`FlowNetwork`. `Instance` holds exactly one family object, so the solvers
+never ask which family they run on. Its exact order (m <= SUBSET_GUARD) is
+certified by those duals: `exact_order` runs the numpy subset DP
+`_best_order` on the least of a few bounds instead of on all 2^m values, is
+built at most once per instance and shared by every exact method.
 """
 
 from __future__ import annotations
@@ -24,17 +28,25 @@ from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
 
+import numpy as np
+
 from .lp import EQ, LE, LinearConstraint
 
 MATCHING = "matching"
 FLOW = "flow"
 
 ENUMERATION_GUARD = 25
-SUBSET_GUARD = 20  # largest m whose 2^m subset-value table is built
+SUBSET_GUARD = 20  # largest m whose exact order is computed, over 2^m bitmasks
+_TIE = 1.0 + 1e-12  # a value must exceed another's _TIE multiple to beat it
+_CELLS = 1 << 15  # candidates per block of `_best_order`'s backward pass
 
 
 class InstanceError(Exception):
     """Instance data violates a structural invariant."""
+
+
+class SolveError(Exception):
+    """Master LP or repair failure."""
 
 
 @dataclass(frozen=True)
@@ -80,6 +92,14 @@ class MatchingInstance:
         fresh enumeration."""
         usable = (state or frozenset()) | frozenset(added)
         return self.value(usable), usable
+
+    def dual(self, value, state):
+        """(constant, {edge id: weight}): the marginal bound read at a
+        (value, state) of `grow`. f(U) <= value + the weights of U's edges
+        outside the state for every usable set U, as f is monotone and an
+        added edge raises a max-weight matching by at most its weight; it is
+        tight at the state's own set."""
+        return value, {e: w for e, w in self.weights.items() if e not in state}
 
     def scaled(self, scale: float) -> MatchingInstance:
         return replace(self, weights={e: w / scale for e, w in self.weights.items()})
@@ -169,6 +189,28 @@ class FlowInstance:
         value = _augment(net, residual, flow, value)
         return value, (value, residual, flow)
 
+    def dual(self, value, state):
+        """(constant, {arc id: weight}) of the min cut read at a (value,
+        state) of `grow`: the source side is what a BFS reaches in its
+        residual graph under `_augment`'s zero rule, and each arc leaving
+        that side weighs its `network.caps`. f(U) is at most the weight of
+        U's arcs in the cut for every usable set U, with equality at the
+        state's own set, whose flow saturates the cut."""
+        net, residual, flow = self.network, state[1], state[2]
+        side, queue = {net.source}, deque([net.source])
+        while queue:
+            u = queue.popleft()
+            for k, h, zero in net.out.get(u, ()):
+                if h not in side and residual[k] > zero:
+                    side.add(h)
+                    queue.append(h)
+            for k, t, zero in net.into.get(u, ()):
+                if t not in side and flow[k] > zero:
+                    side.add(t)
+                    queue.append(t)
+        return 0.0, {net.arcs[k]: cap for k, ((t, h), cap) in enumerate(zip(net.ends, net.caps))
+                     if t in side and h not in side}
+
     @cached_property
     def network(self) -> FlowNetwork:
         """Adjacency of every arc, built once per instance."""
@@ -228,8 +270,8 @@ class Instance:
 
     @cached_property
     def _exact_order(self) -> tuple:
-        """The subset DP's best order, as positions in `orderable`."""
-        return _best_order(subset_values(self), self.m)[1]
+        """The best order, as positions in `orderable`, from `exact_order`."""
+        return exact_order(self)
 
 
 def make_instance(data, fixed_ids) -> Instance:
@@ -353,66 +395,123 @@ def step_value(instance: Instance, available) -> float:
     return instance.data.value(set(available) | set(instance.fixed))
 
 
-def subset_values(instance: Instance) -> list:
-    """step_value of every subset of the orderable elements, indexed by
-    bitmask: bit i of the index stands for instance.orderable[i].
+def exact_order(instance: Instance) -> tuple:
+    """The best order, as positions in `orderable`, certified by the family's
+    duals instead of a table of all 2^m step values (m <= SUBSET_GUARD).
 
-    The subsets are walked depth-first, each child its parent plus one
-    higher element, and the family's `grow` takes each child from its
-    parent's state, so only the m states on the current path are held.
+    `bound` holds T(S), the least of a few modular upper bounds on the step
+    value over every bitmask S, each read off the family's `dual` with the
+    fixed elements folded into its constant; the first is the dual at f(all).
+    Each round takes `_best_order` on T and walks `grow` along that order.
+    Where T overshoots the walked value by more than 1e-12 of it, that
+    prefix's dual, tight there, joins the bounds. Once no prefix overshoots,
+    the order's total equals its T total, which no order's total exceeds, so
+    it is the best order; and as T >= f everywhere, an order the tie rule
+    prefers on f it prefers on T too, so ties resolve as on the full table.
+    A round that lowers no overshooting prefix raises SolveError.
     """
-    m = instance.m
+    m, data, elems = instance.m, instance.data, instance.orderable
     if m > SUBSET_GUARD:
         raise InstanceError(f"m={m} exceeds subset-table guard {SUBSET_GUARD}")
-    elems, data = instance.orderable, instance.data
-    table = [0.0] * (1 << m)
+    root = data.grow(None, instance.fixed)[1]
+    bound = _modular(instance, *data.grow(root, elems))
+    while True:
+        order = _best_order(bound, m)[1]
+        state, mask, over = root, 0, []
+        for i in order:
+            value, state = data.grow(state, (elems[i],))
+            mask |= 1 << i
+            if bound[mask] > value * _TIE:
+                over.append((mask, value, state))
+        if not over:
+            return order
+        lowered = False
+        for mask, value, state in over:
+            cut = _modular(instance, value, state)
+            lowered |= bool(cut[mask] < bound[mask])
+            np.minimum(bound, cut, out=bound)
+        if not lowered:
+            raise SolveError(f"the {data.family} duals lower none of the {len(over)} "
+                             "prefixes whose bound overshoots the walked value")
 
-    def visit(mask, low, state):
-        for i in range(low, m):
-            table[mask | 1 << i], child = data.grow(state, (elems[i],))
-            visit(mask | 1 << i, i + 1, child)
 
-    table[0], root = data.grow(None, instance.fixed)
-    visit(0, 0, root)
-    return table
+def _modular(instance: Instance, value, state):
+    """The family's dual at (value, state) as an upper bound on the step
+    value of every bitmask of the orderable elements: its constant plus the
+    fixed elements' weights, in ascending id, plus the weights of the set's
+    orderable elements, in ascending position."""
+    constant, weights = instance.data.dual(value, state)
+    for e in instance.fixed:
+        constant += weights.get(e, 0.0)
+    out = np.empty(1 << instance.m)
+    out[0] = constant
+    for i, e in enumerate(instance.orderable):
+        np.add(out[:1 << i], weights.get(e, 0.0), out=out[1 << i:2 << i])
+    return out
 
 
 def _best_order(table, m: int):
     """(total, order) of the best ordering of range(m), where realizing the
     bitmask S adds table[S]: the lexicographically first best order, by a
-    subset DP in O(m·2^m) table lookups.
+    subset DP over the 2^m masks in numpy.
 
-    tail[S] is the best value still to come once S is realized; bits are
-    scanned in ascending order and a later bit must win by more than 1e-12
-    of the best so far. The order then takes, from the empty set on, the
-    smallest element whose continuation falls short of tail[S] by at most
-    1e-12 of it (totals are nonnegative), so near-ties resolve alike at
-    any magnitude. The total is summed forward along that order, as the
-    order's own step values would be; table[0] is never read.
+    tail[S] is the best value still to come once S is realized, and the
+    scalar rule scans S's bits in ascending order: a later bit must win by
+    more than 1e-12 of the best so far. The sets are taken one popcount
+    layer at a time from the full set down, so every superset's tail is
+    known, in blocks of at most _CELLS candidates. A set whose candidates
+    all equal their maximum or fall short of it by more than that margin
+    gets the maximum, which is what the scan keeps; the few others are
+    scanned. The order then takes, from the empty set on, the smallest
+    element whose continuation falls short of tail[S] by at most 1e-12 of
+    it (totals are nonnegative), so near-ties resolve alike at any
+    magnitude. The total is summed forward along that order, as the order's
+    own step values would be; table[0] is never read.
     """
+    table = np.asarray(table, dtype=float)
     full = (1 << m) - 1
-    tail = [0.0] * (full + 1)
-    for mask in range(full - 1, -1, -1):
-        best = -math.inf
-        for i in range(m):
-            if not mask >> i & 1:
-                nxt = mask | 1 << i
-                cand = table[nxt] + tail[nxt]
-                if cand > best * (1.0 + 1e-12):
-                    best = cand
-        tail[mask] = best
+    size = np.zeros(full + 1, dtype=np.uint8)  # popcount of each mask
+    for i in range(m):
+        np.add(size[:1 << i], 1, out=size[1 << i:2 << i])
+    by_size = np.argsort(size, kind="stable")
+    counts = np.bincount(size, minlength=m + 1)
+    ends = np.cumsum(counts)
+    bits, width = (1 << np.arange(m))[:, None], _CELLS // max(m, 1)
+    tail = np.zeros(full + 1)
+    ahead = np.full(full + 1, -math.inf)  # table[S] + tail[S] once tail[S] is known
+    ahead[full] = table[full] + tail[full]
+    for k in range(m - 1, -1, -1):
+        layer = by_size[ends[k] - counts[k]:ends[k]]
+        for lo in range(0, len(layer), width):
+            sets = layer[lo:lo + width]
+            cand = ahead[bits | sets]  # bit by set; -inf where the bit is already in
+            best = cand.max(axis=0)
+            near = ~((cand == best) | (cand * _TIE < best)).all(axis=0)
+            if near.any():
+                best[near] = _scan(cand[:, near])
+            tail[sets] = best
+            ahead[sets] = table[sets] + best
     total, mask, order = 0.0, 0, []
     while mask != full:
         for i in range(m):
             if not mask >> i & 1:
                 nxt = mask | 1 << i
-                step = table[nxt]
-                if not tail[mask] > (step + tail[nxt]) * (1.0 + 1e-12):
+                if not tail[mask] > ahead[nxt] * _TIE:
                     break
         order.append(i)
-        total += step
+        total += float(table[nxt])
         mask = nxt
     return total, tuple(order)
+
+
+def _scan(cand):
+    """Each column's best candidate by the scalar rule: rows (bits) in
+    order, a later one kept only if it beats the best so far by more than
+    1e-12 of it."""
+    best = np.full(cand.shape[1], -math.inf)
+    for row in cand:
+        np.copyto(best, row, where=row > best * _TIE)
+    return best
 
 
 def emit_step(instance: Instance, j: int, h_vars, builder) -> dict:

@@ -5,14 +5,14 @@ import random
 import numpy as np
 import pytest
 
-from permopt.lp import EQ, GE
+from permopt.lp import EQ, GE, LE
+from permopt.scheduler import build_master_lp
 from permopt.subproblems import (
     FlowInstance,
     InstanceError,
     MatchingInstance,
     make_instance,
     step_value,
-    subset_values,
 )
 
 
@@ -72,6 +72,71 @@ def random_network_instance(rng: random.Random, m: int, n_fixed: int):
             continue
 
 
+def subset_values(instance) -> list:
+    """step_value of every subset of the orderable elements, indexed by
+    bitmask: bit i of the index stands for instance.orderable[i]. The
+    exact order's reference table.
+
+    The subsets are walked depth-first, each child its parent plus one
+    higher element, and the family's `grow` takes each child from its
+    parent's state, so only the m states on the current path are held.
+    """
+    m = instance.m
+    elems, data = instance.orderable, instance.data
+    table = [0.0] * (1 << m)
+
+    def visit(mask, low, state):
+        for i in range(low, m):
+            table[mask | 1 << i], child = data.grow(state, (elems[i],))
+            visit(mask | 1 << i, i + 1, child)
+
+    table[0], root = data.grow(None, instance.fixed)
+    visit(0, 0, root)
+    return table
+
+
+def scalar_best_order(table, m: int):
+    """(total, order) of the best ordering of range(m), where realizing the
+    bitmask S adds table[S], by a scalar subset DP in O(m·2^m) table
+    lookups: the reference for the numpy `subproblems._best_order`.
+
+    tail[S] is the best value still to come once S is realized; bits are
+    scanned in ascending order and a later bit must win by more than 1e-12
+    of the best so far. The order then takes, from the empty set on, the
+    smallest element whose continuation falls short of tail[S] by at most
+    1e-12 of it. The total is summed forward along that order.
+    """
+    full = (1 << m) - 1
+    tail = [0.0] * (full + 1)
+    for mask in range(full - 1, -1, -1):
+        best = -math.inf
+        for i in range(m):
+            if not mask >> i & 1:
+                nxt = mask | 1 << i
+                cand = table[nxt] + tail[nxt]
+                if cand > best * (1.0 + 1e-12):
+                    best = cand
+        tail[mask] = best
+    total, mask, order = 0.0, 0, []
+    while mask != full:
+        for i in range(m):
+            if not mask >> i & 1:
+                nxt = mask | 1 << i
+                step = table[nxt]
+                if not tail[mask] > (step + tail[nxt]) * (1.0 + 1e-12):
+                    break
+        order.append(i)
+        total += step
+        mask = nxt
+    return total, tuple(order)
+
+
+def table_order(instance) -> tuple:
+    """The exact order, as positions in `orderable`, that the scalar DP
+    takes on the full subset table."""
+    return scalar_best_order(subset_values(instance), instance.m)[1]
+
+
 def per_set_values(instance):
     """step_value of every subset of the orderable elements, one oracle
     call per set, indexed by bitmask: the reference for `subset_values`."""
@@ -102,6 +167,31 @@ def prefix_values(instance, order) -> tuple:
     """step_value of each prefix of an order of element ids, one cold oracle
     call per prefix: the reference for a schedule's step values."""
     return tuple(step_value(instance, order[:j]) for j in range(1, len(order) + 1))
+
+
+def highs_best_total(instance) -> float:
+    """Best cumulative value of the instance by HiGHS (scipy): the master
+    program of `build_master_lp` with every chain variable h binary, so each
+    step's block reads one prefix of one order. An independent reference for
+    the exact order; the calling test is skipped where scipy is missing."""
+    optimize = pytest.importorskip("scipy.optimize")
+    builder, h = build_master_lp(instance)
+    lp = builder.build("max")
+    rows = np.zeros((len(lp.constraints), lp.n))
+    lower, upper = [], []
+    for r, con in enumerate(lp.constraints):
+        for var, coef in con.coefficients.items():
+            rows[r, var] = coef
+        lower.append(-math.inf if con.relation == LE else con.rhs)
+        upper.append(math.inf if con.relation == GE else con.rhs)
+    integrality = np.zeros(lp.n)
+    integrality[[v for row in h for v in row]] = 1
+    res = optimize.milp(-np.array(lp.objective), integrality=integrality,
+                        bounds=optimize.Bounds(lp.lower, lp.upper),
+                        constraints=optimize.LinearConstraint(rows, lower, upper),
+                        options={"mip_rel_gap": 0.0})
+    assert res.status == 0, res.message
+    return -res.fun
 
 
 def highs_optimum(lp):
@@ -141,7 +231,7 @@ def enumerated_best_order(table, m: int):
     """(total, order) of the best ordering of range(m), where realizing the
     bitmask S adds table[S], by walking all m! orders; the first best order
     in lexicographic order wins unless a later one beats it by more than
-    1e-12 of the best total. The reference for `subproblems._best_order`."""
+    1e-12 of the best total. The reference for both subset DPs."""
     best_total, best_order = -math.inf, None
     for order in itertools.permutations(range(m)):
         total = 0.0

@@ -1,7 +1,9 @@
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -12,7 +14,9 @@ from conftest import (
     random_flow_instance,
     random_matching_instance,
     random_network_instance,
+    scalar_best_order,
     set_function_table,
+    subset_values,
 )
 from permopt.baselines import (
     SetFunctionSpec,
@@ -24,6 +28,7 @@ from permopt.baselines import (
     ratio_bound,
     submodular_greedy,
 )
+from permopt import subproblems
 from permopt.instance_io import bundled_instance
 from permopt.scheduler import _repair_subset_dp, evaluate_schedule, solve_schedule
 from permopt.subproblems import (
@@ -31,7 +36,6 @@ from permopt.subproblems import (
     InstanceError,
     MatchingInstance,
     make_instance,
-    subset_values,
 )
 from test_scheduler import order_to_perm
 
@@ -224,7 +228,8 @@ class TestBestOrder:
         assert brute_force(bundled_instance(name)).order == order
 
     def test_lookups_grow_as_m_times_2_to_the_m(self):
-        # walking all 9! orders would take 9! * 9 = 3 265 920 lookups
+        # the scalar reference DP; walking all 9! orders would take
+        # 9! * 9 = 3 265 920 lookups
         class CountingList(list):
             lookups = 0
 
@@ -234,8 +239,71 @@ class TestBestOrder:
 
         m = 9
         f = random_coverage_function(random.Random(9600), m)
-        _best_order(CountingList(set_function_table(f)), m)
+        scalar_best_order(CountingList(set_function_table(f)), m)
         assert 0 < CountingList.lookups <= 2 * m * 2**m
+
+    def test_holds_no_m_by_2_to_the_m_array(self):
+        # about 28 bytes per mask at m = 18: the table, popcounts, the masks
+        # sorted by popcount, tail, table + tail, and one block's
+        # temporaries; an m x 2^m index array alone would add 8m = 144
+        m = 18
+        table = np.random.default_rng(9700).integers(0, 4, 1 << m).astype(float)
+        tracemalloc.start()
+        try:
+            _best_order(table, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**m
+
+
+def same(got, want) -> bool:
+    """Equal orders, and totals equal bit for bit."""
+    return got[1] == want[1] and got[0].hex() == want[0].hex()
+
+
+class TestNumpyDp:
+    """The numpy DP takes the scalar reference's float operations and tie
+    rule, so it returns the same order and the same total bit for bit."""
+
+    @pytest.mark.parametrize("m", range(1, 10))
+    def test_subset_tables(self, m):
+        rng = random.Random(9800 + m)
+        for n_fixed in (0, 1, 2):
+            for inst in (random_flow_instance(rng, m, n_fixed),
+                         random_network_instance(rng, m, n_fixed),
+                         random_matching_instance(rng, m)):
+                table = subset_values(inst)
+                for scale in (1.0, 0.1, 3.0):
+                    scaled = [v * scale for v in table]
+                    assert same(_best_order(scaled, m), scalar_best_order(scaled, m))
+
+    @pytest.mark.parametrize("k", [-60, 0, 60])
+    def test_tie_heavy_tables(self, k):
+        # four values per mask, so most masks tie with several others
+        m = 10
+        for seed in range(20):
+            rng = random.Random(f"ties/{k}/{seed}")
+            table = [rng.randint(0, 3) * 2.0**k for _ in range(1 << m)]
+            assert same(_best_order(table, m), scalar_best_order(table, m))
+
+    def test_near_ties_take_the_scan(self, monkeypatch):
+        # values 2^-41 and 2^-40 apart, within 1e-12 of each other, so
+        # the maximum alone would not say which candidate the scan keeps
+        scans = []
+        scan = subproblems._scan
+        monkeypatch.setattr(subproblems, "_scan", lambda cand: scans.append(cand) or scan(cand))
+        m = 10
+        for seed in range(20):
+            rng = random.Random(f"near/{seed}")
+            table = [rng.choice((1.0, 1.0 + 2**-41, 1.0 + 2**-40, 2.0)) for _ in range(1 << m)]
+            assert same(_best_order(table, m), scalar_best_order(table, m))
+        assert scans
+
+    @pytest.mark.parametrize("table,m", [([0.0], 0), ([5.0], 0), ([0.0, 2.5], 1)])
+    def test_m_0_and_1(self, table, m):
+        assert same(_best_order(table, m), scalar_best_order(table, m))
+        assert _best_order(table, m) == (table[-1] if m else 0.0, tuple(range(m)))
 
 
 class TestSuboptimalityWitnesses:

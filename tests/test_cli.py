@@ -272,13 +272,13 @@ class TestRun:
         totals = {m["method"]: m["total"] for m in report["methods"]}
         assert totals["lp"] == totals["brute"]
 
-    def test_compare_builds_one_subset_table(self, monkeypatch, capsys):
+    def test_compare_runs_the_exact_engine_once(self, monkeypatch, capsys):
         # g1's LP order falls short of the bound, so lp repairs; brute force
-        # reads the same exact order
+        # reads the same exact order, cached on the instance
         calls = []
-        build = subproblems.subset_values
-        monkeypatch.setattr(subproblems, "subset_values",
-                            lambda inst: calls.append(inst) or build(inst))
+        engine = subproblems.exact_order
+        monkeypatch.setattr(subproblems, "exact_order",
+                            lambda inst: calls.append(inst) or engine(inst))
         assert run(["compare", "--instance", "g1.json"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["methods"][0]["repaired"] is True
         assert len(calls) == 1

@@ -4,7 +4,14 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import highs_optimum, random_flow_instance, random_matching_instance, walked
+from conftest import (
+    highs_best_total,
+    highs_optimum,
+    random_flow_instance,
+    random_matching_instance,
+    random_network_instance,
+    walked,
+)
 from permopt.baselines import brute_force
 from permopt.instance_io import bundled_instance
 from permopt import scheduler
@@ -333,6 +340,20 @@ class TestWideRange:
         assert_optimal_or_typed_error(spiked(random_flow_instance(rng, m), 10.0 ** k, rng))
 
 
+    def test_understated_walk_is_not_certified(self):
+        # arc 3 (4->2) is spiked to 3e14 and carries 10 units along the
+        # walk, below the 300 its zero rule treats as none, so the warm
+        # walk reads 14 at sets whose max flow, cold and by networkx, is 15;
+        # the answer must reach f(all) at its last step or be a typed error
+        rng = random.Random("sp/random_flow_instance/8/14/5")
+        inst = spiked(random_flow_instance(rng, 8), 1e14, rng)
+        try:
+            s = solve_schedule(inst)
+        except (SolveError, InstanceError):
+            return
+        assert s.step_values[-1] == inst.data.value(inst.data.elements)
+
+
 class TestRepairSubsetDp:
     @pytest.mark.parametrize("m", range(1, 8))
     def test_matches_brute_force(self, m):
@@ -373,3 +394,25 @@ class TestRepairSubsetDp:
         inst = random_matching_instance(random.Random(3), 21)
         with pytest.raises(InstanceError, match="guard"):
             _repair_subset_dp(inst)
+
+
+def reference_instances():
+    """36 fixed draws at m = 8-10: flows with 0-2 fixed arcs, networks and
+    matchings."""
+    for m in (8, 9, 10):
+        for seed in range(4):
+            rng = random.Random(f"highs/{m}/{seed}")
+            yield random_flow_instance(rng, m, seed % 3)
+            yield random_network_instance(rng, m, seed % 3)
+            yield random_matching_instance(rng, m)
+
+
+REFERENCE = list(reference_instances())
+
+
+@pytest.mark.parametrize("inst", REFERENCE, ids=[f"{k}-{inst.family}-m{inst.m}"
+                                                 for k, inst in enumerate(REFERENCE)])
+def test_total_equals_the_mip_reference(inst):
+    # HiGHS solves the master with binary chain variables, independently of
+    # the exact engine that repairs loose relaxations
+    assert solve_schedule(inst).total == pytest.approx(highs_best_total(inst), rel=1e-9, abs=0.0)

@@ -10,6 +10,8 @@ from conftest import (
     random_flow_instance,
     random_matching_instance,
     random_network_instance,
+    subset_values,
+    table_order,
 )
 from permopt.instance_io import bundled_instance
 from permopt.lp import EQ, LE, OPTIMAL, LpBuilder, solve
@@ -19,11 +21,12 @@ from permopt.subproblems import (
     Instance,
     InstanceError,
     MatchingInstance,
+    SolveError,
     best_matching,
     emit_step,
+    exact_order,
     make_instance,
     step_value,
-    subset_values,
 )
 
 
@@ -153,6 +156,127 @@ class TestSubsetValues:
                 seen |= {"into source" for _, head in ends if head == data.source}
                 seen |= {"parallel" for a in ends if ends.count(a) > 1}
         assert seen == {"zero", "inf", "into source", "parallel"}
+
+
+def dual_instances(m):
+    """Matchings, flows with 0-2 fixed arcs, and networks with zero and
+    uncapacitated arcs, parallel arcs and arcs into the source, at m
+    orderable elements; integral values, so every sum below is exact."""
+    for seed in range(2):
+        rng = random.Random(f"dual/{m}/{seed}")
+        yield random_matching_instance(rng, m)
+        for n_fixed in (0, 1, 2):
+            yield random_flow_instance(rng, m, n_fixed)
+            yield random_network_instance(rng, m, n_fixed)
+
+
+def read_dual(instance, mask):
+    """(value, the dual's bound on every bitmask) at the state `grow` reaches
+    from nothing on the fixed elements plus the set `mask`."""
+    chosen = [e for i, e in enumerate(instance.orderable) if mask >> i & 1]
+    value, state = instance.data.grow(None, [*instance.fixed, *chosen])
+    constant, weights = instance.data.dual(value, state)
+    for e in instance.fixed:
+        constant += weights.get(e, 0.0)
+    bound = [constant]
+    for e in instance.orderable:
+        bound += [b + weights.get(e, 0.0) for b in bound]
+    return value, bound
+
+
+class TestDuals:
+    """Each family's `dual` at a state of `grow` is a modular upper bound on
+    the step value of every set, tight at the state's own set."""
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_bounds_every_subset_and_is_tight_at_its_own(self, m):
+        for inst in dual_instances(m):
+            values = per_set_values(inst)
+            for mask in range(1 << m):
+                value, bound = read_dual(inst, mask)
+                assert value == values[mask] == bound[mask]
+                assert all(v <= b for v, b in zip(values, bound))
+
+    def test_generators_hold_every_case(self):
+        # what test_bounds_every_subset_and_is_tight_at_its_own relies on
+        seen = set()
+        for m in range(1, 7):
+            for inst in dual_instances(m):
+                data = inst.data
+                if inst.fixed:
+                    seen.add("fixed")
+                if data.family == "flow":
+                    ends = list(data.arcs.values())
+                    caps = list(data.capacities.values())
+                    seen |= {"parallel"} if len(set(ends)) < len(ends) else set()
+                    seen |= {"inf"} if math.inf in caps else set()
+                    seen |= {"zero"} if 0.0 in caps else set()
+        assert seen == {"fixed", "parallel", "inf", "zero"}
+
+    @pytest.mark.parametrize("k", [-60, -1, 1, 60])
+    def test_scales_exactly(self, k):
+        for m in (3, 5):
+            for inst in dual_instances(m):
+                scaled = dataclasses.replace(inst, data=inst.data.scaled(2.0**k))
+                for mask in range(1 << m):
+                    value, bound = read_dual(inst, mask)
+                    scaled_value, scaled_bound = read_dual(scaled, mask)
+                    assert scaled_value == value / 2.0**k
+                    assert scaled_bound == [b / 2.0**k for b in bound]
+
+    def test_flow_cut_is_the_source_side_of_the_residual_graph(self):
+        # arcs 0 and 1 form s->2->t with capacities 3 and 1: arc 1 saturates,
+        # so the source side is {s, 2} and the cut is arc 1 alone, with the
+        # unbuilt s->t arc 2 weighing its capacity
+        data = FlowInstance({0: (0, 2), 1: (2, 1), 2: (0, 1)}, {0: 3.0, 1: 1.0, 2: 5.0}, 0, 1)
+        value, state = data.grow(None, (0, 1))
+        assert data.dual(value, state) == (0.0, {1: 1.0, 2: 5.0})
+
+    def test_matching_bound_is_marginal(self):
+        data = MatchingInstance({0: (0, 2), 1: (1, 2), 2: (1, 3)}, {0: 4.0, 1: 2.0, 2: 3.0},
+                                frozenset({0, 1}))
+        value, state = data.grow(None, (0,))
+        assert data.dual(value, state) == (4.0, {1: 2.0, 2: 3.0})
+
+
+class TestExactOrder:
+    """The engine's order is the scalar DP's on the full subset table, read
+    from a few dual bounds and walks instead of the table."""
+
+    @pytest.mark.parametrize("m", range(1, 10))
+    def test_equals_the_table_order(self, m):
+        for seed in range(2):
+            rng = random.Random(f"engine/{m}/{seed}")
+            for n_fixed in (0, 1, 2):
+                for inst in (random_flow_instance(rng, m, n_fixed),
+                             random_network_instance(rng, m, n_fixed),
+                             random_matching_instance(rng, m)):
+                    assert exact_order(inst) == table_order(inst)
+
+    @pytest.mark.parametrize("make", [random_flow_instance, random_matching_instance],
+                             ids=["flow", "matching"])
+    def test_walks_far_fewer_sets_than_the_table(self, make, monkeypatch):
+        m, walked = 12, []
+        inst = make(random.Random(f"walks/{m}"), m)
+        grow = type(inst.data).grow
+        monkeypatch.setattr(type(inst.data), "grow",
+                            lambda data, state, added: walked.append(added) or grow(data, state, added))
+        order = exact_order(inst)
+        monkeypatch.undo()
+        assert order == table_order(inst)
+        assert len(walked) <= 20 * m < 2**m
+
+    def test_a_dual_that_never_tightens_raises(self, monkeypatch):
+        # a bound one unit above every value lowers each prefix once, then
+        # nothing: the second round must stop with a typed error
+        monkeypatch.setattr(FlowInstance, "dual", lambda data, value, state: (value + 1.0, {}))
+        inst = random_flow_instance(random.Random(5), 6)
+        with pytest.raises(SolveError, match="lower none"):
+            exact_order(inst)
+
+    def test_size_guard(self):
+        with pytest.raises(InstanceError, match="m=21 exceeds subset-table guard 20"):
+            exact_order(random_flow_instance(random.Random(3), 21))
 
 
 def step_lp_value(instance: Instance, subset) -> float:
