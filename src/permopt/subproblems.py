@@ -10,15 +10,16 @@ bounds, objective coefficients, rows), whose values the oracle cross-checks.
 reads values by walking `grow` along its own chain of sets: `exact_order`,
 `scheduler.evaluate_schedule` and the greedies. `dual(value, state)` reads a
 modular upper bound on every set's value off a state of `grow`, tight at the
-state's own set: the residual graph's min cut for flows, the marginal bound
-for matchings. `value` and `support` (one cold run's value and optimal
-elements), `elements`, `values` and `scaled` (a copy in other units) sit
-alongside. The flow family's one structure is `FlowInstance.network`, a
-`FlowNetwork`. `Instance` holds exactly one family object, so the solvers
-never ask which family they run on. Its exact order (m <= SUBSET_GUARD) is
-certified by those duals: `exact_order` runs the numpy subset DP
-`_best_order` on the least of a few bounds instead of on all 2^m values, is
-built at most once per instance and shared by every exact method.
+state's own set: the min cut of flows, the marginal bound of matchings. Both
+oracles count in exact ints (`_dyadic`), with no zero or tie rule. `value`
+and `support` (one cold run's value and optimal elements), `elements`,
+`values` and `scaled` (a copy in other units) sit alongside. The flow
+family's one structure is `FlowInstance.network`, a `FlowNetwork`.
+`Instance` holds exactly one family object, so the solvers never ask which
+family they run on. Its exact order (m <= SUBSET_GUARD) is certified by
+those duals: `exact_order` runs the numpy subset DP `_best_order` on the
+least of a few bounds instead of on all 2^m values, is built at most once
+per instance and shared by every exact method.
 """
 
 from __future__ import annotations
@@ -144,7 +145,7 @@ class FlowInstance:
         # max flow unbounded, which no finite stand-in capacity represents.
         reached, frontier = {self.source}, [self.source]
         while frontier:
-            for k, head, _ in self.network.out.get(frontier.pop(), ()):
+            for k, head in self.network.out.get(frontier.pop(), ()):
                 if head in reached or not math.isinf(self.capacities[self.network.arcs[k]]):
                     continue
                 if head == self.sink:
@@ -168,46 +169,34 @@ class FlowInstance:
         return self.grow(None, usable)[0]
 
     def support(self, usable) -> set:
-        """Arcs whose flow in `grow`'s run exceeds 1e-12 of their capacity."""
+        """Arcs with flow > 0 in `grow`'s run."""
         net, flow = self.network, self.grow(None, usable)[1][2]
-        return {a for a, f, cap in zip(net.arcs, flow, net.caps) if f > 1e-12 * cap}
+        return {a for a, f in zip(net.arcs, flow) if f}
 
     def grow(self, state, added):
-        """(value, state) once the arcs `added` become usable too. A state
-        is (value, residual, flow), indexed like `network.arcs`, and holds a
-        max flow over the usable arcs (None: the zero flow, no arc usable);
-        that flow stays feasible with more arcs, so `_augment` starts from
-        it. The state passed in is not changed."""
+        """(value, state) once the arcs `added` become usable too. A state is
+        (units, residual, flow, side) in `network.units`, indexed like
+        `network.arcs`: a max flow over the usable arcs and its min cut's
+        source side (None: the zero flow, no arc usable). `_augment` starts
+        from that flow, feasible with more arcs too; the state is not changed."""
         net = self.network
         if state is None:
-            value, residual, flow = 0.0, [0.0] * len(net.arcs), [0.0] * len(net.arcs)
+            units, residual, flow = 0, [0] * len(net.arcs), [0] * len(net.arcs)
         else:
-            value, residual, flow = state[0], list(state[1]), list(state[2])
+            units, residual, flow = state[0], list(state[1]), list(state[2])
         for a in added:
             k = net.index[a]
-            residual[k] = net.caps[k] - flow[k]
-        value = _augment(net, residual, flow, value)
-        return value, (value, residual, flow)
+            residual[k] = net.units[k] - flow[k]
+        units, side = _augment(net, residual, flow, units)
+        return _to_float(units, net.d), (units, residual, flow, side)
 
     def dual(self, value, state):
-        """(constant, {arc id: weight}) of the min cut read at a (value,
-        state) of `grow`: the source side is what a BFS reaches in its
-        residual graph under `_augment`'s zero rule, and each arc leaving
-        that side weighs its `network.caps`. f(U) is at most the weight of
-        U's arcs in the cut for every usable set U, with equality at the
-        state's own set, whose flow saturates the cut."""
-        net, residual, flow = self.network, state[1], state[2]
-        side, queue = {net.source}, deque([net.source])
-        while queue:
-            u = queue.popleft()
-            for k, h, zero in net.out.get(u, ()):
-                if h not in side and residual[k] > zero:
-                    side.add(h)
-                    queue.append(h)
-            for k, t, zero in net.into.get(u, ()):
-                if t not in side and flow[k] > zero:
-                    side.add(t)
-                    queue.append(t)
+        """(constant, {arc id: weight}) of the min cut at a (value, state)
+        of `grow`: each arc leaving the state's source side weighs its
+        `network.caps`. f(U) is at most the weight of U's arcs in the cut
+        for every usable set U, with equality at the state's own set, whose
+        flow saturates the cut."""
+        net, side = self.network, state[3]
         return 0.0, {net.arcs[k]: cap for k, ((t, h), cap) in enumerate(zip(net.ends, net.caps))
                      if t in side and h not in side}
 
@@ -227,8 +216,8 @@ class FlowInstance:
         in sorted order; zero sums are dropped, so a self-loop cancels."""
         net, objective, rows = self.network, [0.0] * len(self.network.arcs), []
         for node in sorted(net.out.keys() | net.into.keys()):
-            coefs = {k: 1.0 for k, _, _ in net.out.get(node, ())}
-            for k, _, _ in net.into.get(node, ()):
+            coefs = {k: 1.0 for k, _ in net.out.get(node, ())}
+            for k, _ in net.into.get(node, ()):
                 coefs[k] = coefs.get(k, 0.0) - 1.0
             coefs = {k: c for k, c in coefs.items() if c != 0.0}
             if node == self.source:
@@ -284,24 +273,21 @@ def make_instance(data, fixed_ids) -> Instance:
 
 
 def best_matching(inst: MatchingInstance, available):
-    """(weight, edge-id tuple) of a max-weight matching; ties resolved by
-    lexicographically smallest edge set.
-
-    Matchings are enumerated in lexicographic order, so a later one must
-    win by more than a relative 1e-12; the tolerance scales with the
-    weights, so tiny weights are never all taken for ties of the empty set.
-    """
+    """(weight, edge-id tuple) of a max-weight matching, the lexicographically
+    smallest edge set on ties: matchings come in lexicographic order and
+    their exact int weights (`_dyadic`) must grow strictly to replace one."""
     avail = sorted(set(available))
-    best_w, best_set = 0.0, None
-    for subset, weight in _matchings(inst, avail):
-        if best_set is None or weight > best_w * (1.0 + 1e-12):
+    units, d = _dyadic([inst.weights[e] for e in avail])
+    best_w, best_set = -1, None
+    for subset, weight in _matchings(inst, avail, units):
+        if weight > best_w:
             best_w, best_set = weight, subset
-    return best_w, best_set
+    return _to_float(best_w, d), best_set
 
 
-def _matchings(inst: MatchingInstance, avail):
-    """Yield (edge-id tuple, weight) for every matching among avail,
-    enumerated in lexicographic order of the edge-id tuple."""
+def _matchings(inst: MatchingInstance, avail, units):
+    """Yield (edge-id tuple, weight from `units`, by position in avail) for
+    every matching among avail, in lexicographic order of the edge-id tuple."""
 
     def rec(start, used, chosen, weight):
         yield tuple(chosen), weight
@@ -311,47 +297,61 @@ def _matchings(inst: MatchingInstance, avail):
             if u in used or v in used:
                 continue
             chosen.append(e)
-            yield from rec(k + 1, used | {u, v}, chosen, weight + inst.weights[e])
+            yield from rec(k + 1, used | {u, v}, chosen, weight + units[k])
             chosen.pop()
 
-    yield from rec(0, frozenset(), [], 0.0)
+    yield from rec(0, frozenset(), [], 0)
+
+
+def _dyadic(values):
+    """(ints, d): every float is dyadic, so each is an exact int over d = 2^k."""
+    ratios = [v.as_integer_ratio() for v in values]
+    d = max((q for _, q in ratios), default=1)
+    return [p * (d // q) for p, q in ratios], d
+
+
+def _to_float(units, d) -> float:
+    """units / d, correctly rounded; inf where it overflows a float."""
+    try:
+        return units / d
+    except OverflowError:
+        return math.inf
 
 
 class FlowNetwork:
     """Adjacency of a `FlowInstance`, the flow family's one structure, with arcs at
     positions 0.. in ascending id: `arcs` (ids), `index` (id -> position),
-    `caps` (finite capacities), `ends` ((tail, head) per position), and per
-    node the arcs leaving it (`out`) and entering it (`into`) as (position,
-    other end, zero), where zero = 1e-12 of the arc's capacity is the largest
-    residual or flow that counts as none. An uncapacitated arc's cap is the sum
-    of all finite capacities: with no s-t path of uncapacitated arcs, the
-    finite arcs hold an s-t cut, so no max flow exceeds it."""
+    `units` (capacities as exact ints over the power of two `d`), `caps`
+    (units / d as floats), `ends` ((tail, head) per position), and per node
+    the arcs leaving it (`out`) and entering it (`into`) as (position, other
+    end). An uncapacitated arc's units are the sum of all finite ones: with
+    no s-t path of uncapacitated arcs, the finite arcs hold an s-t cut, so
+    no max flow exceeds it."""
 
     def __init__(self, inst: FlowInstance):
         self.source, self.sink = inst.source, inst.sink
         self.arcs = tuple(sorted(inst.arcs))
         self.index = {a: k for k, a in enumerate(self.arcs)}
-        stand_in = sum(c for c in inst.capacities.values() if not math.isinf(c))
-        self.caps = [stand_in if math.isinf(inst.capacities[a]) else inst.capacities[a]
-                     for a in self.arcs]
+        caps = [inst.capacities[a] for a in self.arcs]
+        units, self.d = _dyadic([0.0 if math.isinf(c) else c for c in caps])
+        stand_in = sum(units)
+        self.units = [stand_in if math.isinf(c) else u for c, u in zip(caps, units)]
+        self.caps = [_to_float(u, self.d) for u in self.units]
         self.ends = [inst.arcs[a] for a in self.arcs]
         self.out, self.into = {}, {}
         for k, (t, h) in enumerate(self.ends):
-            zero = 1e-12 * self.caps[k]
-            self.out.setdefault(t, []).append((k, h, zero))
-            self.into.setdefault(h, []).append((k, t, zero))
+            self.out.setdefault(t, []).append((k, h))
+            self.into.setdefault(h, []).append((k, t))
 
 
-def _augment(net: FlowNetwork, residual, flow, value) -> float:
-    """Edmonds-Karp from a feasible flow of value `value`: augment along
-    shortest paths until none is left, updating `residual` and `flow` (by
-    arc position) in place, and return the max flow value.
-
-    Adjacency is scanned in ascending arc id and residual (reverse) arcs
-    after all forward arcs, so the run is deterministic. A residual or flow
-    at or below 1e-12 of its arc's capacity counts as zero, so the run is
-    scale-free; an arc that is not usable has residual 0 and flow 0.
-    """
+def _augment(net: FlowNetwork, residual, flow, value):
+    """Edmonds-Karp on exact ints from a feasible flow of value `value`:
+    augment along shortest paths until none is left, updating `residual`
+    and `flow` (by arc position) in place. Returns the max flow value and
+    the nodes the last, failing search reached: the source side of a min
+    cut. Adjacency is scanned in ascending arc id and residual (reverse)
+    arcs after all forward arcs, so the run is deterministic; an arc that
+    is not usable has residual 0 and flow 0."""
     source, sink = net.source, net.sink
     while True:
         # BFS for a shortest augmenting path; parent[node] = (arc, forward?)
@@ -359,16 +359,16 @@ def _augment(net: FlowNetwork, residual, flow, value) -> float:
         queue = deque([source])
         while queue and sink not in parent:
             u = queue.popleft()
-            for k, h, zero in net.out.get(u, ()):
-                if h not in parent and residual[k] > zero:
+            for k, h in net.out.get(u, ()):
+                if h not in parent and residual[k]:
                     parent[h] = (k, True)
                     queue.append(h)
-            for k, t, zero in net.into.get(u, ()):
-                if t not in parent and flow[k] > zero:
+            for k, t in net.into.get(u, ()):
+                if t not in parent and flow[k]:
                     parent[t] = (k, False)
                     queue.append(t)
         if sink not in parent:
-            return value
+            return value, parent.keys()
         path = []
         node = sink
         bottleneck = math.inf

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -70,6 +71,16 @@ def random_network_instance(rng: random.Random, m: int, n_fixed: int):
             return make_instance(FlowInstance(arcs, caps, 0, 1), range(n_fixed))
         except InstanceError:
             continue
+
+
+def spiked(instance, factor, rng):
+    """The instance with one weight or capacity, drawn by rng, multiplied
+    by factor."""
+    data = instance.data
+    e = rng.choice(sorted(data.values))
+    values = {**data.values, e: data.values[e] * factor}
+    field = "weights" if instance.family == "matching" else "capacities"
+    return dataclasses.replace(instance, data=dataclasses.replace(data, **{field: values}))
 
 
 def subset_values(instance) -> list:

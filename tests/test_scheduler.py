@@ -10,6 +10,7 @@ from conftest import (
     random_flow_instance,
     random_matching_instance,
     random_network_instance,
+    spiked,
     walked,
 )
 from permopt.baselines import brute_force
@@ -279,16 +280,6 @@ class TestSolveSchedule:
             solve_schedule(bundled_instance("g1"))
 
 
-def spiked(instance, factor, rng):
-    """The instance with one weight or capacity, drawn by rng, multiplied
-    by factor."""
-    data = instance.data
-    e = rng.choice(sorted(data.values))
-    values = {**data.values, e: data.values[e] * factor}
-    field = "weights" if instance.family == "matching" else "capacities"
-    return replace(instance, data=replace(data, **{field: values}))
-
-
 def assert_optimal_or_typed_error(instance):
     """solve_schedule gives brute force's total within VALUE_TOL of it, or
     raises a typed error; no other exception passes."""
@@ -340,18 +331,16 @@ class TestWideRange:
         assert_optimal_or_typed_error(spiked(random_flow_instance(rng, m), 10.0 ** k, rng))
 
 
-    def test_understated_walk_is_not_certified(self):
+    def test_huge_arc_carrying_a_few_units_walks_to_the_max_flow(self):
         # arc 3 (4->2) is spiked to 3e14 and carries 10 units along the
-        # walk, below the 300 its zero rule treats as none, so the warm
-        # walk reads 14 at sets whose max flow, cold and by networkx, is 15;
-        # the answer must reach f(all) at its last step or be a typed error
+        # warm walk; a zero rule of 1e-12 of its capacity hid the path that
+        # cancels them, so the walk read 14 at sets whose max flow is 15
         rng = random.Random("sp/random_flow_instance/8/14/5")
         inst = spiked(random_flow_instance(rng, 8), 1e14, rng)
-        try:
-            s = solve_schedule(inst)
-        except (SolveError, InstanceError):
-            return
-        assert s.step_values[-1] == inst.data.value(inst.data.elements)
+        s = solve_schedule(inst)
+        assert s.total == brute_force(inst).total == 77.0
+        assert s.step_values[-1] == inst.data.value(inst.data.elements) == 15.0
+        assert s.repaired
 
 
 class TestRepairSubsetDp:

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +11,7 @@ from conftest import (
     random_flow_instance,
     random_matching_instance,
     random_network_instance,
+    spiked,
     subset_values,
     table_order,
 )
@@ -90,14 +92,85 @@ class TestOracles:
         assert (s.total, s.certified) == (5e-13, True)
 
     def test_huge_dead_end_does_not_hide_a_unit_path(self):
-        # a 1e13 dead end s->3 beside the unit path s->2->t: each arc's zero
-        # test is relative to its own capacity, so the path still counts
+        # a 1e13 dead end s->3 beside the unit path s->2->t: capacities are
+        # exact ints, so the 1e13 arc's size cannot hide the path
         data = FlowInstance({0: (0, 3), 1: (0, 2), 2: (2, 1)}, {0: 1e13, 1: 1.0, 2: 1.0}, 0, 1)
         assert data.value({1, 2}) == 1.0
         assert data.value({0, 1, 2}) == 1.0
         assert data.support({0, 1, 2}) == {1, 2}
         s = solve_schedule(make_instance(data, []))
         assert (s.total, s.certified) == (2.0, True)
+
+
+def usable(instance, mask) -> list:
+    """The fixed elements plus the orderable ones in the bitmask."""
+    return [*instance.fixed, *(e for i, e in enumerate(instance.orderable) if mask >> i & 1)]
+
+
+def networkx_max_flow(data, arcs) -> float:
+    """networkx's max s-t flow over `arcs` in Fractions, rounded once;
+    parallel arcs merge and an uncapacitated arc stays inf."""
+    nx = pytest.importorskip("networkx")
+    caps = {}
+    for a in arcs:
+        c = data.capacities[a]
+        caps[data.arcs[a]] = caps.get(data.arcs[a], 0) + (c if math.isinf(c) else Fraction(c))
+    g = nx.DiGraph()
+    g.add_nodes_from((data.source, data.sink))
+    g.add_edges_from((t, h, {"capacity": c}) for (t, h), c in caps.items())
+    return float(nx.maximum_flow_value(g, data.source, data.sink))
+
+
+def fraction_best_matching(data, edges) -> float:
+    """The largest weight of a matching among `edges`, every matching's
+    weight summed in Fractions, rounded once."""
+    best = Fraction(0)
+    for r in range(1, len(edges) + 1):
+        for chosen in itertools.combinations(edges, r):
+            ends = [v for e in chosen for v in data.edges[e]]
+            if len(set(ends)) == len(ends):
+                best = max(best, sum(Fraction(data.weights[e]) for e in chosen))
+    return float(best)
+
+
+class TestExactOracles:
+    """Both oracles count in exact ints: every value a warm walk reads is
+    the exact optimum rounded once, however far the values spread."""
+
+    @pytest.mark.parametrize("k", [14, -14])
+    def test_spiked_flow_walks_equal_networkx(self, k):
+        # a zero rule of 1e-12 of each arc's capacity read 12 of these
+        # values wrong, at the keys (6, -14, 2) and (8, -14, 2)
+        for m in range(3, 9):
+            for seed in range(3):
+                rng = random.Random(f"sp/random_flow_instance/{m}/{k}/{seed}")
+                inst = spiked(random_flow_instance(rng, m), 10.0 ** k, rng)
+                for mask, value in enumerate(subset_values(inst)):
+                    assert value == networkx_max_flow(inst.data, usable(inst, mask))
+
+    @pytest.mark.parametrize("m", range(3, 9))
+    def test_spiked_matchings_are_monotone_and_exact(self, m):
+        # a relative 1e-12 tie rule left 12 pairs non-monotone at m=7, seed 0
+        for seed in range(8):
+            rng = random.Random(f"sp/random_matching_instance/{m}/12/{seed}")
+            inst = spiked(random_matching_instance(rng, m), 1e12, rng)
+            table = subset_values(inst)
+            for mask in range(1 << m):
+                assert all(table[mask | 1 << i] >= table[mask] for i in range(m))
+                if m <= 6:
+                    assert table[mask] == fraction_best_matching(inst.data, usable(inst, mask))
+
+    def test_overflowing_stand_in(self):
+        # the uncapacitated arc 2's stand-in, the sum of the finite
+        # capacities, overflows a float but not an int, so arc 2 still
+        # carries the unit path 0->2->3->1
+        data = FlowInstance({0: (0, 2), 1: (0, 3), 2: (2, 3), 3: (3, 1)},
+                            {0: 1e308, 1: 1e308, 2: math.inf, 3: 1.0}, 0, 1)
+        inst = make_instance(data, [])
+        for values in (subset_values(inst), per_set_values(inst)):
+            for mask, value in enumerate(values):
+                assert value == networkx_max_flow(data, usable(inst, mask))
+        assert values[-1] == values[0b1101] == 1.0
 
 
 class TestStepValue:
@@ -161,20 +234,24 @@ class TestSubsetValues:
 def dual_instances(m):
     """Matchings, flows with 0-2 fixed arcs, and networks with zero and
     uncapacitated arcs, parallel arcs and arcs into the source, at m
-    orderable elements; integral values, so every sum below is exact."""
+    orderable elements, plus flows and matchings with one value spiked by
+    10^±14; integral values but for the 10^-14 spikes, so most sums are
+    exact."""
     for seed in range(2):
         rng = random.Random(f"dual/{m}/{seed}")
         yield random_matching_instance(rng, m)
         for n_fixed in (0, 1, 2):
             yield random_flow_instance(rng, m, n_fixed)
             yield random_network_instance(rng, m, n_fixed)
+        for factor in (1e14, 1e-14):
+            yield spiked(random_flow_instance(rng, m), factor, rng)
+            yield spiked(random_matching_instance(rng, m), factor, rng)
 
 
 def read_dual(instance, mask):
     """(value, the dual's bound on every bitmask) at the state `grow` reaches
     from nothing on the fixed elements plus the set `mask`."""
-    chosen = [e for i, e in enumerate(instance.orderable) if mask >> i & 1]
-    value, state = instance.data.grow(None, [*instance.fixed, *chosen])
+    value, state = instance.data.grow(None, usable(instance, mask))
     constant, weights = instance.data.dual(value, state)
     for e in instance.fixed:
         constant += weights.get(e, 0.0)
