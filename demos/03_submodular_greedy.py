@@ -1,8 +1,9 @@
 """Unconstrained monotone-submodular ordering: greedy vs its guarantee.
 
-With no feasibility constraint the step-j value of an ordering is simply
-f of its first j elements, and greedy-by-marginal-gain carries a provable
-guarantee: total >= ratio_bound(m) * optimum, with ratio_bound(m)
+A set function is an instance of the coverage family, so the step-j value
+of an ordering is f of its first j elements, and the greedy and exact
+solvers are the ones every family uses. Greedy-by-marginal-gain carries a
+provable guarantee: total >= ratio_bound(m) * optimum, with ratio_bound(m)
 decreasing to 1/e from above.
 
 Run: python3 demos/03_submodular_greedy.py
@@ -11,12 +12,7 @@ Run: python3 demos/03_submodular_greedy.py
 import math
 import random
 
-from permopt.baselines import (
-    SetFunctionSpec,
-    brute_force_set_function,
-    ratio_bound,
-    submodular_greedy,
-)
+from permopt import CoverageInstance, brute_force, greedy_marginal, make_instance, ratio_bound
 
 print("--- the guarantee curve ---")
 for m in (1, 2, 4, 8, 16, 100, 10_000):
@@ -28,12 +24,10 @@ rng = random.Random(7)
 worst = 1.0
 for trial in range(20):
     m = rng.randint(4, 7)
-    covers = tuple(
-        frozenset(u for u in range(12) if rng.random() < 0.35) for _ in range(m)
-    )
-    f = SetFunctionSpec("coverage", covers=covers)
-    greedy = submodular_greedy(f)
-    optimum = brute_force_set_function(f)
+    covers = {e: frozenset(u for u in range(12) if rng.random() < 0.35) for e in range(m)}
+    f = make_instance(CoverageInstance(covers, dict.fromkeys(range(12), 1.0)), [])
+    greedy = greedy_marginal(f)
+    optimum = brute_force(f).total
     ratio = greedy.total / optimum if optimum else 1.0
     worst = min(worst, ratio)
     assert greedy.total >= ratio_bound(m) * optimum - 1e-9

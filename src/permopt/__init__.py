@@ -4,18 +4,11 @@ the cumulative optimal subproblem value over the steps is maximized.
 Exact solving goes through a master linear program over the chain columns
 of the realized sets, whose positions range over the permutahedron, and
 per-step subproblem blocks; greedy baselines and a brute-force oracle are
-included for comparison and certification.
+included for comparison and certification. The subproblem families are
+bipartite matching, s-t flow and weighted coverage (set functions).
 """
 
-from .baselines import (
-    SetFunctionSpec,
-    brute_force,
-    brute_force_set_function,
-    greedy_marginal,
-    greedy_optimal_first,
-    ratio_bound,
-    submodular_greedy,
-)
+from .baselines import brute_force, greedy_marginal, greedy_optimal_first, ratio_bound
 from .instance_io import (
     bundled_instance,
     build_d1,
@@ -45,6 +38,7 @@ from .scheduler import (
     solve_schedule,
 )
 from .subproblems import (
+    CoverageInstance,
     FlowInstance,
     Instance,
     MatchingInstance,

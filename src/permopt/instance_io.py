@@ -131,7 +131,7 @@ def serialize_instance(instance: Instance) -> str:
                  "w": data.weights[eid]}
             )
         doc = {"family": MATCHING, "elements": elements, "left": sorted(data.left)}
-    else:
+    elif instance.family == FLOW:
         for eid in sorted(data.arcs):
             t, h = data.arcs[eid]
             cap = data.capacities[eid]
@@ -141,6 +141,8 @@ def serialize_instance(instance: Instance) -> str:
             )
         doc = {"family": FLOW, "elements": elements,
                "source": data.source, "sink": data.sink}
+    else:
+        raise ValidationError(f"family: {instance.family!r} has no JSON schema")
     return json.dumps(doc, indent=2) + "\n"
 
 

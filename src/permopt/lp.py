@@ -132,12 +132,6 @@ class LpBuilder:
         self.objective.append(float(objective))
         return self.n - 1
 
-    def add_vars(self, count, lower=0.0, upper=math.inf) -> list:
-        return [self.add_var(lower, upper) for _ in range(count)]
-
-    def set_objective(self, var, coef):
-        self.objective[var] += coef
-
     def add(self, con: LinearConstraint):
         if len(con.coefficients) == 1:
             ((var, coef),) = con.coefficients.items()

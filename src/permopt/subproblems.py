@@ -1,20 +1,21 @@
-"""Subproblem families: bipartite max-weight matching and s-t max flow.
+"""Subproblem families: bipartite max-weight matching, s-t max flow and
+weighted coverage (set functions; an additive one covers a point apiece).
 
-A family is one data class, `MatchingInstance` or `FlowInstance`, and each
-class carries both faces of its subproblem: `grow(state, added)`, an
-independent combinatorial oracle (matching by enumeration, flow by augmenting
-paths) that gives the value once `added` become usable too and the state to
-grow on from, and `block`, the per-step LP block stated once as data (ids,
+A family is one data class, `MatchingInstance`, `FlowInstance` or
+`CoverageInstance`, and each class carries both faces of its subproblem:
+`grow(state, added)`, an independent combinatorial oracle (matching by
+enumeration, flow by augmenting paths, coverage by a union of point sets)
+that gives the value once `added` become usable too and the state to grow
+on from, and `block`, the per-step LP block stated once as data (ids,
 bounds, objective coefficients, rows), whose values the oracle cross-checks.
 `emit_step` alone lays any block out against a chain column. Every solver
 reads values by walking `grow` along its own chain of sets: `exact_order`,
 `scheduler.evaluate_schedule` and the greedies. `dual(value, state)` reads a
 modular upper bound on every set's value off a state of `grow`, tight at the
-state's own set: the min cut of flows, the marginal bound of matchings. Both
-oracles count in exact ints (`_dyadic`), with no zero or tie rule. `value`
-and `support` (one cold run's value and optimal elements), `elements`,
-`values` and `scaled` (a copy in other units) sit alongside. The flow
-family's one structure is `FlowInstance.network`, a `FlowNetwork`.
+state's own set: the min cut of flows, the marginal bound of the others.
+Every oracle counts in exact ints (`_dyadic`), with no zero or tie rule.
+`value` and `support` (one cold run's value and optimal elements),
+`elements` and `scaled` (a copy in other units) sit alongside.
 `Instance` holds exactly one family object, so the solvers never ask which
 family they run on. Its exact order (m <= SUBSET_GUARD) is certified by
 those duals: `exact_order` runs the numpy subset DP `_best_order` on the
@@ -35,6 +36,7 @@ from .lp import EQ, LE, LinearConstraint
 
 MATCHING = "matching"
 FLOW = "flow"
+COVERAGE = "coverage"
 
 ENUMERATION_GUARD = 25
 SUBSET_GUARD = 20  # largest m whose exact order is computed, over 2^m bitmasks
@@ -74,10 +76,6 @@ class MatchingInstance:
     @property
     def elements(self) -> dict:
         return self.edges
-
-    @property
-    def values(self) -> dict:
-        return self.weights
 
     def value(self, usable) -> float:
         """Weight of a max-weight matching over the usable edges."""
@@ -160,10 +158,6 @@ class FlowInstance:
     def elements(self) -> dict:
         return self.arcs
 
-    @property
-    def values(self) -> dict:
-        return self.capacities
-
     def value(self, usable) -> float:
         """Max s-t flow value over the usable arcs."""
         return self.grow(None, usable)[0]
@@ -229,15 +223,88 @@ class FlowInstance:
 
 
 @dataclass(frozen=True)
+class CoverageInstance:
+    """A weighted coverage function: f(U) is the weight of the points that
+    U's elements cover. An additive function covers one point per element."""
+
+    covers: dict  # element id -> frozenset of points
+    weights: dict  # point -> weight >= 0
+
+    family = COVERAGE  # class attribute, not a field
+
+    def __post_init__(self):
+        for u, w in self.weights.items():
+            if not (math.isfinite(w) and w >= 0):
+                raise InstanceError(f"point {u} has weight {w}, expected a finite number >= 0")
+        for e, points in self.covers.items():
+            if missing := set(points).difference(self.weights):
+                raise InstanceError(f"element {e} covers points {sorted(missing)} with no weight")
+
+    @property
+    def elements(self) -> dict:
+        return self.covers
+
+    def value(self, usable) -> float:
+        """Weight of the points the usable elements cover."""
+        return self.grow(None, usable)[0]
+
+    def support(self, usable) -> set:
+        """Every usable element: together they cover every point they can."""
+        return set(usable)
+
+    def grow(self, state, added):
+        """(value, state) once the elements `added` become usable too; a
+        state is the covered point set (None: no point yet), and the value
+        is its weight summed in exact ints (`_dyadic`), rounded once."""
+        covered = (state or frozenset()).union(*(self.covers[e] for e in added))
+        units, d = self._units
+        return _to_float(sum(units[u] for u in covered), d), covered
+
+    def dual(self, value, state):
+        """(constant, {element id: weight}) of the marginal bound at a (value,
+        state) of `grow`: each element weighs the points it covers outside
+        the state. Coverage is monotone and submodular, so f(U) is at most
+        value plus U's weights for every usable U, with equality at the state."""
+        units, d = self._units
+        return value, {e: _to_float(sum(units[u] for u in points - state), d)
+                       for e, points in self.covers.items()}
+
+    def scaled(self, scale: float) -> CoverageInstance:
+        return replace(self, weights={u: w / scale for u, w in self.weights.items()})
+
+    @cached_property
+    def _units(self) -> tuple:
+        """({point: weight as an exact int over d}, d), built once."""
+        units, d = _dyadic(list(self.weights.values()))
+        return dict(zip(self.weights, units)), d
+
+    @cached_property
+    def block(self) -> tuple:
+        """Step block, built once: elements in ascending id, each in [0, 1]
+        at 0, then points in sorted order, keyed ("point", u) so that none
+        meets an element id, each in [0, 1] at its weight, and one row per
+        point, y_u - (the x_e of the elements covering u) <= 0."""
+        elems, points = sorted(self.covers), sorted(self.weights)
+        at = {u: len(elems) + k for k, u in enumerate(points)}
+        rows = {u: {at[u]: 1.0} for u in points}
+        for k, e in enumerate(elems):
+            for u in self.covers[e]:
+                rows[u][k] = -1.0
+        ids = (*elems, *(("point", u) for u in points))
+        objective = [0.0] * len(elems) + [self.weights[u] for u in points]
+        return ids, [1.0] * len(ids), objective, [(rows[u], LE, 0.0) for u in points]
+
+
+@dataclass(frozen=True)
 class Instance:
-    data: MatchingInstance | FlowInstance  # the one subproblem family
+    data: MatchingInstance | FlowInstance | CoverageInstance  # the one subproblem family
     orderable: tuple  # sorted element ids, the ground set; |orderable| = m
     fixed: tuple  # element ids always available
 
     def __post_init__(self):
-        if not isinstance(self.data, (MatchingInstance, FlowInstance)):
+        if not isinstance(self.data, (MatchingInstance, FlowInstance, CoverageInstance)):
             raise InstanceError(f"data is a {type(self.data).__name__}, "
-                                "expected a MatchingInstance or FlowInstance")
+                                "expected a CoverageInstance, MatchingInstance or FlowInstance")
         if any(a >= b for ids in (self.orderable, self.fixed) for a, b in zip(ids, ids[1:])):
             raise InstanceError("orderable and fixed element ids must each be strictly increasing")
         if set(self.orderable) & set(self.fixed):
@@ -414,25 +481,26 @@ def exact_order(instance: Instance) -> tuple:
     if m > SUBSET_GUARD:
         raise InstanceError(f"m={m} exceeds subset-table guard {SUBSET_GUARD}")
     root = data.grow(None, instance.fixed)[1]
-    bound = _modular(instance, *data.grow(root, elems))
-    while True:
-        order = _best_order(bound, m)[1]
-        state, mask, over = root, 0, []
-        for i in order:
-            value, state = data.grow(state, (elems[i],))
-            mask |= 1 << i
-            if bound[mask] > value * _TIE:
-                over.append((mask, value, state))
-        if not over:
-            return order
-        lowered = False
-        for mask, value, state in over:
-            cut = _modular(instance, value, state)
-            lowered |= bool(cut[mask] < bound[mask])
-            np.minimum(bound, cut, out=bound)
-        if not lowered:
-            raise SolveError(f"the {data.family} duals lower none of the {len(over)} "
-                             "prefixes whose bound overshoots the walked value")
+    with np.errstate(over="ignore"):  # a sum past the float range is inf, still a bound
+        bound = _modular(instance, *data.grow(root, elems))
+        while True:
+            order = _best_order(bound, m)[1]
+            state, mask, over = root, 0, []
+            for i in order:
+                value, state = data.grow(state, (elems[i],))
+                mask |= 1 << i
+                if bound[mask] > value * _TIE:
+                    over.append((mask, value, state))
+            if not over:
+                return order
+            lowered = False
+            for mask, value, state in over:
+                cut = _modular(instance, value, state)
+                lowered |= bool(cut[mask] < bound[mask])
+                np.minimum(bound, cut, out=bound)
+            if not lowered:
+                raise SolveError(f"the {data.family} duals lower none of the {len(over)} "
+                                 "prefixes whose bound overshoots the walked value")
 
 
 def _modular(instance: Instance, value, state):

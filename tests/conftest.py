@@ -9,6 +9,7 @@ import pytest
 from permopt.lp import EQ, GE, LE
 from permopt.scheduler import build_master_lp
 from permopt.subproblems import (
+    CoverageInstance,
     FlowInstance,
     InstanceError,
     MatchingInstance,
@@ -77,9 +78,10 @@ def spiked(instance, factor, rng):
     """The instance with one weight or capacity, drawn by rng, multiplied
     by factor."""
     data = instance.data
-    e = rng.choice(sorted(data.values))
-    values = {**data.values, e: data.values[e] * factor}
-    field = "weights" if instance.family == "matching" else "capacities"
+    field = "capacities" if instance.family == "flow" else "weights"
+    values = getattr(data, field)
+    e = rng.choice(sorted(values))
+    values = {**values, e: values[e] * factor}
     return dataclasses.replace(instance, data=dataclasses.replace(data, **{field: values}))
 
 
@@ -230,12 +232,28 @@ def highs_optimum(lp):
 
 
 def random_coverage_function(rng: random.Random, m: int, universe: int = 12):
-    from permopt.baselines import SetFunctionSpec
+    """Unit-weight coverage instance: elements 0..m-1, each covering each of
+    the points 0..universe-1 with probability 0.35."""
+    covers = {e: frozenset(u for u in range(universe) if rng.random() < 0.35)
+              for e in range(m)}
+    return make_instance(CoverageInstance(covers, dict.fromkeys(range(universe), 1.0)), [])
 
-    covers = tuple(
-        frozenset(u for u in range(universe) if rng.random() < 0.35) for _ in range(m)
-    )
-    return SetFunctionSpec("coverage", covers=covers)
+
+def random_weighted_coverage(rng: random.Random, m: int, n_fixed: int = 0, universe: int = 8):
+    """Coverage instance with m orderable elements and n_fixed fixed ones
+    (the first ids), each covering 0-3 of the points 0..universe-1, whose
+    weights are 0..10."""
+    covers = {e: frozenset(rng.sample(range(universe), rng.randint(0, 3)))
+              for e in range(m + n_fixed)}
+    weights = {u: float(rng.randint(0, 10)) for u in range(universe)}
+    return make_instance(CoverageInstance(covers, weights), range(n_fixed))
+
+
+def additive_function(weights):
+    """Additive set function as a coverage instance: element e covers the
+    one point e, of weight weights[e]."""
+    return make_instance(CoverageInstance({e: frozenset({e}) for e in range(len(weights))},
+                                          dict(enumerate(weights))), [])
 
 
 def enumerated_best_order(table, m: int):
@@ -260,11 +278,6 @@ def walked(instance):
     the instance's subset table."""
     total, order = enumerated_best_order(subset_values(instance), instance.m)
     return total, tuple(instance.orderable[i] for i in order)
-
-
-def set_function_table(f):
-    """Bitmask table of a `SetFunctionSpec`: entry mask is f of its bits."""
-    return [f.value([i for i in range(f.m) if mask >> i & 1]) for mask in range(1 << f.m)]
 
 
 @pytest.fixture

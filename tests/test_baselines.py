@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    additive_function,
     cold_greedy,
     enumerated_best_order,
     prefix_values,
@@ -15,26 +16,18 @@ from conftest import (
     random_matching_instance,
     random_network_instance,
     scalar_best_order,
-    set_function_table,
     subset_values,
 )
-from permopt.baselines import (
-    SetFunctionSpec,
-    _best_order,
-    brute_force,
-    brute_force_set_function,
-    greedy_marginal,
-    greedy_optimal_first,
-    ratio_bound,
-    submodular_greedy,
-)
+from permopt.baselines import brute_force, greedy_marginal, greedy_optimal_first, ratio_bound
 from permopt import subproblems
 from permopt.instance_io import bundled_instance
 from permopt.scheduler import _repair_subset_dp, evaluate_schedule, solve_schedule
 from permopt.subproblems import (
+    CoverageInstance,
     FlowInstance,
     InstanceError,
     MatchingInstance,
+    _best_order,
     make_instance,
 )
 from test_scheduler import order_to_perm
@@ -124,8 +117,8 @@ class TestBruteForce:
     def test_subset_table_guard(self):
         with pytest.raises(InstanceError, match="guard"):
             brute_force(random_flow_instance(random.Random(3), 21))
-        with pytest.raises(ValueError, match="guard"):
-            brute_force_set_function(SetFunctionSpec("additive", weights=(1.0,) * 21))
+        with pytest.raises(InstanceError, match="guard"):
+            brute_force(additive_function((1.0,) * 21))
 
     def test_greedy_never_beats_brute(self, rng):
         from conftest import random_matching_instance
@@ -200,22 +193,21 @@ class TestBestOrder:
         # few distinct weights, so many orders tie for the best total
         rng = random.Random(9400 + m)
         for _ in range(6):
-            f = SetFunctionSpec("additive", weights=tuple(
-                rng.choice((0.0, 0.1, 1.0, 1.0, 2.0)) for _ in range(m)))
-            table = set_function_table(f)
+            f = additive_function(tuple(rng.choice((0.0, 0.1, 1.0, 1.0, 2.0)) for _ in range(m)))
+            table = subset_values(f)
             walked = enumerated_best_order(table, m)
             assert _best_order(table, m) == walked
-            assert brute_force_set_function(f) == walked[0]
+            assert brute_force(f).total == walked[0]
 
     @pytest.mark.parametrize("m", range(1, 8))
     def test_coverage(self, m):
         rng = random.Random(9500 + m)
         for _ in range(6):
             f = random_coverage_function(rng, m)
-            table = set_function_table(f)
+            table = subset_values(f)
             walked = enumerated_best_order(table, m)
             assert _best_order(table, m) == walked
-            assert brute_force_set_function(f) == walked[0]
+            assert brute_force(f).total == walked[0]
 
     @pytest.mark.parametrize("name,order", [
         ("g1", (1, 0, 2)),
@@ -239,7 +231,7 @@ class TestBestOrder:
 
         m = 9
         f = random_coverage_function(random.Random(9600), m)
-        scalar_best_order(CountingList(set_function_table(f)), m)
+        scalar_best_order(CountingList(subset_values(f)), m)
         assert 0 < CountingList.lookups <= 2 * m * 2**m
 
     def test_holds_no_m_by_2_to_the_m_array(self):
@@ -330,42 +322,44 @@ class TestSuboptimalityWitnesses:
 
 
 class TestSubmodularGreedy:
+    """Set functions are coverage instances, solved by the same greedy and
+    exact engine as every other family."""
+
     def test_additive_sorts_by_weight(self):
-        f = SetFunctionSpec("additive", weights=(3.0, 2.0, 1.0))
-        s = submodular_greedy(f)
+        s = greedy_marginal(additive_function((3.0, 2.0, 1.0)))
         assert s.order == (0, 1, 2)
         assert s.step_values == pytest.approx((3.0, 5.0, 6.0))
         assert s.total == pytest.approx(14.0)
 
     def test_coverage_larger_set_first(self):
-        f = SetFunctionSpec("coverage", covers=(frozenset({0, 1}), frozenset({2})))
-        s = submodular_greedy(f)
+        f = CoverageInstance({0: frozenset({0, 1}), 1: frozenset({2})}, dict.fromkeys(range(3), 1.0))
+        s = greedy_marginal(make_instance(f, []))
         assert s.order == (0, 1)
         assert s.total == pytest.approx(2.0 + 3.0)
 
     def test_negative_additive_weights_rejected(self):
-        with pytest.raises(ValueError):
-            SetFunctionSpec("additive", weights=(1.0, -2.0))
+        with pytest.raises(InstanceError):
+            additive_function((1.0, -2.0))
 
     @pytest.mark.parametrize("weight", [math.nan, math.inf])
     def test_non_finite_additive_weights_rejected(self, weight):
-        with pytest.raises(ValueError):
-            SetFunctionSpec("additive", weights=(weight, 1.0))
+        with pytest.raises(InstanceError):
+            additive_function((weight, 1.0))
 
     def test_overflowing_total_raises(self):
         # each weight is finite, but every order's total overflows a float
-        f = SetFunctionSpec("additive", weights=(1.7e308, 1.7e308))
-        with pytest.raises(ValueError):
-            submodular_greedy(f)
-        with pytest.raises(ValueError):
-            brute_force_set_function(f)
+        f = additive_function((1.7e308, 1.7e308))
+        with pytest.raises(InstanceError):
+            greedy_marginal(f)
+        with pytest.raises(InstanceError):
+            brute_force(f)
 
     def test_ratio_bound_holds_random_coverage(self, rng):
         for _ in range(10):
             m = rng.randint(3, 6)
             f = random_coverage_function(rng, m)
-            greedy_total = submodular_greedy(f).total
-            optimum = brute_force_set_function(f)
+            greedy_total = greedy_marginal(f).total
+            optimum = brute_force(f).total
             assert greedy_total >= ratio_bound(m) * optimum - 1e-9
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import random_flow_instance
+from conftest import random_coverage_function, random_flow_instance
 from permopt import cli, scheduler, subproblems
 from permopt.cli import EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, METHODS, run
 from permopt.instance_io import (
@@ -104,6 +104,11 @@ class TestParseInstance:
     def test_round_trip(self, name):
         inst = bundled_instance(name)
         assert parse_instance(serialize_instance(inst)) == inst
+
+    def test_family_without_a_schema_is_not_written(self):
+        # coverage has no JSON schema; it must not be written as a flow
+        with pytest.raises(ValidationError, match="'coverage' has no JSON schema"):
+            serialize_instance(random_coverage_function(random.Random(1), 3))
 
 
 class TestRun:

@@ -110,7 +110,7 @@ class TestChainTransform:
     def test_constraint_counts(self):
         m = 4
         b = LpBuilder()
-        y = b.add_vars(m)
+        y = [b.add_var() for _ in range(m)]
         h = h_vars_on(b, m)
         cons = chain_transform_constraints(m, y, h)
         assert len(cons) == m * (m - 1) + m + m * m + 2 * m * m
@@ -136,7 +136,7 @@ class TestChainTransform:
                     y = [b.add_var(positions[k], positions[k]) for k in range(m)]
                     h = h_vars_on(b, m)
                     b.add_all(chain_transform_constraints(m, y, h))
-                    b.set_objective(h[i][j], 1.0)
+                    b.objective[h[i][j]] += 1.0
                     sol = solve(b.build(sense))
                     assert sol.status == OPTIMAL
                     assert sol.objective == pytest.approx(expected.h[i][j], abs=1e-7)

@@ -5,11 +5,14 @@ from dataclasses import replace
 import pytest
 
 from conftest import (
+    additive_function,
     highs_best_total,
     highs_optimum,
+    random_coverage_function,
     random_flow_instance,
     random_matching_instance,
     random_network_instance,
+    random_weighted_coverage,
     spiked,
     walked,
 )
@@ -405,3 +408,36 @@ def test_total_equals_the_mip_reference(inst):
     # HiGHS solves the master with binary chain variables, independently of
     # the exact engine that repairs loose relaxations
     assert solve_schedule(inst).total == pytest.approx(highs_best_total(inst), rel=1e-9, abs=0.0)
+
+
+def coverage_reference():
+    """30 fixed coverage draws at m = 8-10: weighted with 0-2 fixed
+    elements, and unit-weight (4 of the 30 repaired)."""
+    for m in (8, 9, 10):
+        for seed in range(4):
+            yield random_weighted_coverage(random.Random(f"highs/coverage/{m}/{seed}"), m, seed % 3)
+        for seed in range(6):
+            yield random_coverage_function(random.Random(f"highs/coverage/{m}/{seed}"), m)
+
+
+COVERAGE_REFERENCE = list(coverage_reference())
+
+
+@pytest.mark.parametrize("inst", COVERAGE_REFERENCE,
+                         ids=[f"{k}-m{inst.m}" for k, inst in enumerate(COVERAGE_REFERENCE)])
+def test_coverage_total_equals_the_mip_reference(inst):
+    assert solve_schedule(inst).total == pytest.approx(highs_best_total(inst), rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("m", range(6, 13))
+def test_additive_certifies_without_repair(m):
+    # an additive master is linear in the positions, so its bound is an
+    # order's total and the order read off the positions attains it
+    for seed in range(3):
+        rng = random.Random(f"additive/{m}/{seed}")
+        for weights in ([float(rng.choice((0, 1, 1, 2, 5))) for _ in range(m)],
+                        [rng.uniform(0.0, 10.0) for _ in range(m)]):
+            inst = additive_function(weights)
+            s = solve_schedule(inst)
+            assert (s.certified, s.repaired) == (True, False)
+            assert s.total == brute_force(inst).total

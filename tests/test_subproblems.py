@@ -7,18 +7,24 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    additive_function,
+    enumerated_best_order,
     per_set_values,
+    random_coverage_function,
     random_flow_instance,
     random_matching_instance,
     random_network_instance,
+    random_weighted_coverage,
     spiked,
     subset_values,
     table_order,
 )
+from permopt.baselines import brute_force
 from permopt.instance_io import bundled_instance
 from permopt.lp import EQ, LE, OPTIMAL, LpBuilder, solve
 from permopt.scheduler import solve_schedule
 from permopt.subproblems import (
+    CoverageInstance,
     FlowInstance,
     Instance,
     InstanceError,
@@ -172,6 +178,17 @@ class TestExactOracles:
                 assert value == networkx_max_flow(data, usable(inst, mask))
         assert values[-1] == values[0b1101] == 1.0
 
+    def test_overflowing_dual_still_bounds(self):
+        # the same network: the cut weighs arc 2 at its stand-in, so the
+        # engine's sums of dual weights pass the float range; +inf is still
+        # an upper bound, and the exact order is networkx's
+        data = FlowInstance({0: (0, 2), 1: (0, 3), 2: (2, 3), 3: (3, 1)},
+                            {0: 1e308, 1: 1e308, 2: math.inf, 3: 1.0}, 0, 1)
+        inst = make_instance(data, [])
+        table = [networkx_max_flow(data, usable(inst, mask)) for mask in range(1 << inst.m)]
+        s = brute_force(inst)
+        assert (s.total, s.order) == enumerated_best_order(table, inst.m) == (3.0, (1, 3, 0, 2))
+
 
 class TestStepValue:
     def test_empty_no_fixed(self):
@@ -246,6 +263,19 @@ def dual_instances(m):
         for factor in (1e14, 1e-14):
             yield spiked(random_flow_instance(rng, m), factor, rng)
             yield spiked(random_matching_instance(rng, m), factor, rng)
+        yield from coverage_instances(rng, m)
+
+
+def coverage_instances(rng, m):
+    """Unit-weight coverage, weighted coverage with 0-2 fixed elements, one
+    point weight spiked by 10^±14, and additive functions with repeated
+    weights, at m orderable elements."""
+    yield random_coverage_function(rng, m)
+    for n_fixed in (0, 1, 2):
+        yield random_weighted_coverage(rng, m, n_fixed)
+    for factor in (1e14, 1e-14):
+        yield spiked(random_weighted_coverage(rng, m), factor, rng)
+    yield additive_function([float(rng.choice((0, 1, 1, 3))) for _ in range(m)])
 
 
 def read_dual(instance, mask):
@@ -315,6 +345,14 @@ class TestDuals:
         value, state = data.grow(None, (0,))
         assert data.dual(value, state) == (4.0, {1: 2.0, 2: 3.0})
 
+    def test_coverage_bound_is_marginal(self):
+        # element 1 adds only point 2 to the points {0, 1} of element 0
+        data = CoverageInstance({0: frozenset({0, 1}), 1: frozenset({1, 2}), 2: frozenset()},
+                                {0: 1.0, 1: 2.0, 2: 0.5})
+        value, state = data.grow(None, (0,))
+        assert (value, state) == (3.0, frozenset({0, 1}))
+        assert data.dual(value, state) == (3.0, {0: 0.0, 1: 0.5, 2: 0.0})
+
 
 class TestExactOrder:
     """The engine's order is the scalar DP's on the full subset table, read
@@ -342,6 +380,12 @@ class TestExactOrder:
         monkeypatch.undo()
         assert order == table_order(inst)
         assert len(walked) <= 20 * m < 2**m
+
+    @pytest.mark.parametrize("m", range(1, 10))
+    def test_coverage_equals_the_table_order(self, m):
+        for seed in range(2):
+            for inst in coverage_instances(random.Random(f"engine/coverage/{m}/{seed}"), m):
+                assert exact_order(inst) == table_order(inst)
 
     def test_a_dual_that_never_tightens_raises(self, monkeypatch):
         # a bound one unit above every value lowers each prefix once, then
@@ -429,6 +473,22 @@ class TestEmitStep:
                             {0: 5.0, 1: 1.0, 2: 2.0, 3: math.inf}, 0, 1)
         assert data.block == ((0, 1, 2, 3), [5.0, 1.0, 2.0, 8.0], [1.0, 0.0, -1.0, 0.0],
                               [({2: 1.0, 3: 1.0, 0: -1.0}, EQ, 0.0)])
+        assert data.block is data.block
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_coverage_block_equals_the_oracle(self, m):
+        for seed in range(2):
+            for inst in coverage_instances(random.Random(f"block/{m}/{seed}"), m):
+                assert_block_equals_oracle(inst)
+
+    def test_coverage_block_is_data_built_once(self):
+        # elements at 0, then one variable per point keyed apart from the
+        # element ids; point 5 is covered by no element, so its row is y <= 0
+        data = CoverageInstance({1: frozenset({0}), 0: frozenset({0, 3})}, {3: 2.0, 0: 1.5, 5: 4.0})
+        assert data.block == ((0, 1, ("point", 0), ("point", 3), ("point", 5)), [1.0] * 5,
+                              [0.0, 0.0, 1.5, 2.0, 4.0],
+                              [({2: 1.0, 0: -1.0, 1: -1.0}, LE, 0.0), ({3: 1.0, 0: -1.0}, LE, 0.0),
+                               ({4: 1.0}, LE, 0.0)])
         assert data.block is data.block
 
     def test_bad_step_index(self):
@@ -539,6 +599,19 @@ class TestValidation:
         # unchecked, construction raises KeyError: 1
         with pytest.raises(InstanceError, match="capacities"):
             FlowInstance({0: (0, 1), 1: (0, 1)}, {0: 1.0}, 0, 1)
+
+    @pytest.mark.parametrize("weight", [-1.0, math.nan, math.inf])
+    def test_coverage_weight_finite_and_nonnegative(self, weight):
+        with pytest.raises(InstanceError, match="point 1 has weight"):
+            CoverageInstance({0: frozenset({1})}, {1: weight})
+
+    def test_covered_point_without_a_weight(self):
+        with pytest.raises(InstanceError, match=r"element 0 covers points \[2\] with no weight"):
+            CoverageInstance({0: frozenset({1, 2})}, {1: 1.0})
+
+    def test_instance_accepts_coverage(self):
+        inst = Instance(CoverageInstance({0: frozenset({1})}, {1: 1.0}), (0,), ())
+        assert (inst.family, inst.m) == ("coverage", 1)
 
     def test_capacity_without_an_arc(self):
         # unchecked, phantom arc 7 lifts the uncapacitated arc's stand-in from 1.0 to 51.0
